@@ -1,5 +1,5 @@
 // Exact finite-N model checker throughput: how fast the lattice
-// enumeration + kernel convolution scales with n (states/sec), and what
+// enumeration + kernel build scales with n (states/sec), and what
 // the downstream linear-algebra passes (SCC classification is part of
 // construction; absorption solve, hitting-time solve, stationary
 // distribution) cost on top. These bound the largest --exact-n a lint

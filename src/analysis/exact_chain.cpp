@@ -1,9 +1,11 @@
 #include "analysis/exact_chain.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <unordered_map>
 
 #include "core/action.hpp"
 #include "core/transition_model.hpp"
@@ -20,20 +22,22 @@ namespace {
 // settlements, both in (state, action-position) order -- because the
 // `stayers` clamp makes the order observable.
 
-/// Binomial pmf over 0..n with the same degenerate clamps as
+constexpr std::size_t kNone = std::numeric_limits<std::size_t>::max();
+
+/// Binomial pmf over 0..n into `pmf`, with the same degenerate clamps as
 /// Rng::binomial: p <= 0 puts all mass at 0, p >= 1 all mass at n.
 /// Computed in log space (protects q^n from underflow at p near 1) and
-/// normalized, so the returned masses sum to 1 to machine precision.
-std::vector<double> binomial_pmf(std::size_t n, double p,
-                                 const std::vector<double>& log_fact) {
-  std::vector<double> pmf(n + 1, 0.0);
+/// normalized, so the masses sum to 1 to machine precision.
+void binomial_pmf(std::size_t n, double p, const std::vector<double>& log_fact,
+                  std::vector<double>& pmf) {
+  pmf.assign(n + 1, 0.0);
   if (n == 0 || p <= 0.0) {
     pmf[0] = 1.0;
-    return pmf;
+    return;
   }
   if (p >= 1.0) {
     pmf[n] = 1.0;
-    return pmf;
+    return;
   }
   const double log_p = std::log(p);
   const double log_q = std::log1p(-p);
@@ -46,7 +50,58 @@ std::vector<double> binomial_pmf(std::size_t n, double p,
     total += pmf[k];
   }
   for (double& mass : pmf) mass /= total;
-  return pmf;
+}
+
+/// Each distinct (trials, p) pmf of one kernel row, computed once. The
+/// map is node-based, so a returned reference stays valid while deeper
+/// branches insert more pmfs.
+class PmfCache {
+ public:
+  explicit PmfCache(const std::vector<double>& log_fact)
+      : log_fact_(log_fact) {}
+
+  const std::vector<double>& get(std::size_t trials, double p) {
+    auto [it, inserted] =
+        pmfs_.try_emplace(Key{trials, std::bit_cast<std::uint64_t>(p)});
+    if (inserted) binomial_pmf(trials, p, log_fact_, it->second);
+    return it->second;
+  }
+  void clear() { pmfs_.clear(); }
+
+ private:
+  struct Key {
+    std::size_t trials;
+    std::uint64_t p_bits;
+    bool operator==(const Key&) const = default;
+  };
+  struct KeyHash {
+    std::size_t operator()(const Key& k) const noexcept {
+      const std::uint64_t mixed = k.p_bits ^ (k.trials * 0x9e3779b97f4a7c15ULL);
+      return std::hash<std::uint64_t>{}(mixed);
+    }
+  };
+  const std::vector<double>& log_fact_;
+  std::unordered_map<Key, std::vector<double>, KeyHash> pmfs_;
+};
+
+/// Lexicographic rank of a count vector in the lattice of `num_states`
+/// entries summing to `n`, by the combinatorial number system. At level
+/// l, with R = n minus the entries before l still to place over the
+/// k = num_states - l - 1 later entries, the vectors with a smaller
+/// entry at l number C(R + k, k) - C(R - c_l + k, k) (hockey stick).
+/// `table[k * (n + 1) + r]` holds C(r + k, k). The counts must be a
+/// lattice point.
+std::size_t lattice_rank(const std::vector<std::size_t>& table,
+                         std::size_t num_states, std::size_t n,
+                         const std::size_t* counts) {
+  std::size_t rank = 0;
+  std::size_t rest = n;
+  for (std::size_t l = 0; l + 1 < num_states; ++l) {
+    const std::size_t* row = table.data() + (num_states - l - 1) * (n + 1);
+    rank += row[rest] - row[rest - counts[l]];
+    rest -= counts[l];
+  }
+  return rank;
 }
 
 struct TokenBatch {
@@ -62,94 +117,114 @@ struct PushBatch {
   std::uint64_t contacts;
 };
 
-/// One kernel row under construction: the shared inputs plus the mutable
-/// branch counter checked against the per-row budget.
-struct RowBuilder {
-  const core::ProtocolStateMachine& machine;
-  const ExactChainOptions& options;
-  const std::vector<double>& log_fact;
-  const std::vector<std::size_t>& start;
-  const std::vector<core::TransitionChannel>& channels;
-  std::vector<std::pair<std::vector<std::size_t>, double>>& sink;
-  std::size_t branches = 0;
+/// Walks one kernel row's branch tree depth first. A branch mutates the
+/// per-row scratch (moved_out / moved_in, the token and push batch
+/// stacks) and undoes it on return, so nothing is copied per branch; the
+/// `stayers` of phase C are start - moved_out, read off the scratch.
+/// Leaves rank their count vector and accumulate into a dense per-row
+/// array with a touched list.
+class RowBuilder {
+ public:
+  RowBuilder(const core::ProtocolStateMachine& machine,
+             const ExactChainOptions& options,
+             const std::vector<double>& log_fact,
+             const std::vector<std::size_t>& rank_table,
+             std::size_t num_chain_states)
+      : machine_(machine),
+        options_(options),
+        rank_table_(rank_table),
+        m_(machine.num_states()),
+        pmfs_(log_fact),
+        moved_out_(m_, 0),
+        moved_in_(m_, 0),
+        leaf_(m_, 0),
+        mass_(num_chain_states, 0.0),
+        seen_(num_chain_states, 0) {}
 
+  /// The sparse row of `start`, columns ascending.
+  void build(const std::vector<std::size_t>& start,
+             const std::vector<core::TransitionChannel>& channels,
+             std::vector<std::pair<std::uint32_t, double>>& row) {
+    start_ = start.data();
+    channels_ = &channels;
+    branches_ = 0;
+    pmfs_.clear();
+    expand_state(0, 1.0);
+
+    std::sort(touched_.begin(), touched_.end());
+    row.clear();
+    row.reserve(touched_.size());
+    for (const std::size_t col : touched_) {
+      row.emplace_back(static_cast<std::uint32_t>(col), mass_[col]);
+      mass_[col] = 0.0;
+      seen_[col] = 0;
+    }
+    touched_.clear();
+  }
+
+ private:
   void charge(std::size_t cost) {
-    branches += cost;
-    if (branches > options.max_row_branches) {
+    branches_ += cost;
+    if (branches_ > options_.max_row_branches) {
       throw ExactChainBudgetError(
           "ExactChain: kernel row outcome expansion exceeds max_row_branches "
           "(" +
-          std::to_string(options.max_row_branches) + ")");
+          std::to_string(options_.max_row_branches) + ")");
     }
+  }
+
+  void move(std::size_t from, std::size_t to, std::size_t k) {
+    moved_out_[from] += k;
+    moved_in_[to] += k;
+  }
+  void unmove(std::size_t from, std::size_t to, std::size_t k) {
+    moved_out_[from] -= k;
+    moved_in_[to] -= k;
   }
 
   /// Phase A/B: walk machine states in order, branching over each
   /// stop-after-first-firing action chain.
-  void expand_state(std::size_t s, std::vector<std::size_t> moved_out,
-                    std::vector<std::size_t> moved_in,
-                    std::vector<TokenBatch> tokens,
-                    std::vector<PushBatch> pushes, double prob) {
-    const std::size_t m = machine.num_states();
-    if (s == m) {
-      std::vector<std::size_t> stayers(m);
-      for (std::size_t i = 0; i < m; ++i) {
-        stayers[i] = start[i] - moved_out[i];
-      }
-      settle_tokens(0, tokens, pushes, std::move(stayers),
-                    std::move(moved_out), std::move(moved_in), prob);
+  void expand_state(std::size_t s, double prob) {
+    while (s < m_ && start_[s] == 0) ++s;
+    if (s == m_) {
+      settle_tokens(0, prob);
       return;
     }
-    if (start[s] == 0) {
-      expand_state(s + 1, std::move(moved_out), std::move(moved_in),
-                   std::move(tokens), std::move(pushes), prob);
-      return;
-    }
-    expand_actions(s, 0, start[s], std::move(moved_out), std::move(moved_in),
-                   std::move(tokens), std::move(pushes), prob);
+    expand_actions(s, 0, start_[s], prob);
   }
 
   void expand_actions(std::size_t s, std::size_t pos, std::size_t remaining,
-                      std::vector<std::size_t> moved_out,
-                      std::vector<std::size_t> moved_in,
-                      std::vector<TokenBatch> tokens,
-                      std::vector<PushBatch> pushes, double prob) {
-    const std::vector<std::size_t>& order = machine.actions_of(s);
+                      double prob) {
+    const std::vector<std::size_t>& order = machine_.actions_of(s);
     if (pos == order.size() || remaining == 0) {
-      expand_state(s + 1, std::move(moved_out), std::move(moved_in),
-                   std::move(tokens), std::move(pushes), prob);
+      expand_state(s + 1, prob);
       return;
     }
     const std::size_t idx = order[pos];
-    const core::TransitionChannel& ch = channels[idx];
-    const core::Action& action = machine.actions()[idx];
+    const core::TransitionChannel& ch = (*channels_)[idx];
+    const core::Action& action = machine_.actions()[idx];
 
     if (ch.moves_executor) {
-      const std::vector<double> pmf =
-          binomial_pmf(remaining, ch.fire_prob, log_fact);
+      const std::vector<double>& pmf = pmfs_.get(remaining, ch.fire_prob);
       charge(pmf.size());
       for (std::size_t fired = 0; fired <= remaining; ++fired) {
         if (pmf[fired] == 0.0) continue;
-        std::vector<std::size_t> out = moved_out;
-        std::vector<std::size_t> in = moved_in;
-        out[s] += fired;
-        in[ch.to] += fired;
-        expand_actions(s, pos + 1, remaining - fired, std::move(out),
-                       std::move(in), tokens, pushes, prob * pmf[fired]);
+        move(s, ch.to, fired);
+        expand_actions(s, pos + 1, remaining - fired, prob * pmf[fired]);
+        unmove(s, ch.to, fired);
       }
       return;
     }
     if (std::holds_alternative<core::TokenizingAction>(action)) {
-      const std::vector<double> pmf =
-          binomial_pmf(remaining, ch.fire_prob, log_fact);
+      const std::vector<double>& pmf = pmfs_.get(remaining, ch.fire_prob);
       charge(pmf.size());
       for (std::size_t generated = 0; generated <= remaining; ++generated) {
         if (pmf[generated] == 0.0) continue;
-        std::vector<TokenBatch> next = tokens;
         if (generated > 0) {
-          next.push_back(TokenBatch{ch.from, ch.to, generated});
+          tokens_.push_back(TokenBatch{ch.from, ch.to, generated});
         }
-        expand_actions(s, pos + 1, remaining, moved_out, moved_in,
-                       std::move(next), pushes, prob * pmf[generated]);
+        expand_actions(s, pos + 1, remaining, prob * pmf[generated]);
+        if (generated > 0) tokens_.pop_back();
       }
       return;
     }
@@ -159,55 +234,46 @@ struct RowBuilder {
     const std::uint64_t contacts =
         static_cast<std::uint64_t>(remaining) * push.fanout;
     if (contacts > 0) {
-      pushes.push_back(PushBatch{push.target_state, push.to_state,
-                                 push.coin_bias, contacts});
+      pushes_.push_back(PushBatch{push.target_state, push.to_state,
+                                  push.coin_bias, contacts});
     }
-    expand_actions(s, pos + 1, remaining, std::move(moved_out),
-                   std::move(moved_in), std::move(tokens), std::move(pushes),
-                   prob);
+    expand_actions(s, pos + 1, remaining, prob);
+    if (contacts > 0) pushes_.pop_back();
+  }
+
+  std::size_t stayers(std::size_t s) const {
+    return start_[s] - moved_out_[s];
   }
 
   /// Phase C, first half: token delivery in batch order. Directory mode
   /// is deterministic; TTL mode branches over the delivery binomial with
   /// the clamped tail aggregated (min(draw, stayers) merges every draw
   /// beyond the available stayers into one outcome).
-  void settle_tokens(std::size_t b, const std::vector<TokenBatch>& tokens,
-                     const std::vector<PushBatch>& pushes,
-                     std::vector<std::size_t> stayers,
-                     std::vector<std::size_t> moved_out,
-                     std::vector<std::size_t> moved_in, double prob) {
-    if (b == tokens.size()) {
-      settle_pushes(0, pushes, std::move(stayers), std::move(moved_out),
-                    std::move(moved_in), prob);
+  void settle_tokens(std::size_t b, double prob) {
+    if (b == tokens_.size()) {
+      settle_pushes(0, prob);
       return;
     }
-    const TokenBatch& batch = tokens[b];
-    if (options.tokens.mode == sim::TokenRouting::Mode::Directory) {
-      const std::size_t delivered =
-          std::min(batch.generated, stayers[batch.token_state]);
-      stayers[batch.token_state] -= delivered;
-      moved_out[batch.token_state] += delivered;
-      moved_in[batch.to_state] += delivered;
-      settle_tokens(b + 1, tokens, pushes, std::move(stayers),
-                    std::move(moved_out), std::move(moved_in), prob);
+    const TokenBatch& batch = tokens_[b];
+    const std::size_t cap =
+        std::min(batch.generated, stayers(batch.token_state));
+    if (options_.tokens.mode == sim::TokenRouting::Mode::Directory) {
+      move(batch.token_state, batch.to_state, cap);
+      settle_tokens(b + 1, prob);
+      unmove(batch.token_state, batch.to_state, cap);
       return;
     }
-    const double f = options.message_loss;
-    const double q = options.n > 0
-                         ? static_cast<double>(start[batch.token_state]) /
-                               static_cast<double>(options.n)
-                         : 0.0;
+    const double f = options_.message_loss;
+    const double q = static_cast<double>(start_[batch.token_state]) /
+                     static_cast<double>(options_.n);
     double p_deliver = 0.0;
     double surviving = 1.0;
-    for (unsigned hop = 0; hop < options.tokens.ttl; ++hop) {
+    for (unsigned hop = 0; hop < options_.tokens.ttl; ++hop) {
       p_deliver += surviving * (1.0 - f) * q;
       surviving *= (1.0 - f) * (1.0 - q);
     }
-    const std::vector<double> pmf =
-        binomial_pmf(batch.generated, p_deliver, log_fact);
+    const std::vector<double>& pmf = pmfs_.get(batch.generated, p_deliver);
     charge(pmf.size());
-    const std::size_t cap =
-        std::min(batch.generated, stayers[batch.token_state]);
     for (std::size_t delivered = 0; delivered <= cap; ++delivered) {
       double mass = pmf[delivered];
       if (delivered == cap) {
@@ -216,63 +282,132 @@ struct RowBuilder {
         }
       }
       if (mass == 0.0) continue;
-      std::vector<std::size_t> st = stayers;
-      std::vector<std::size_t> out = moved_out;
-      std::vector<std::size_t> in = moved_in;
-      st[batch.token_state] -= delivered;
-      out[batch.token_state] += delivered;
-      in[batch.to_state] += delivered;
-      settle_tokens(b + 1, tokens, pushes, std::move(st), std::move(out),
-                    std::move(in), prob * mass);
+      move(batch.token_state, batch.to_state, delivered);
+      settle_tokens(b + 1, prob * mass);
+      unmove(batch.token_state, batch.to_state, delivered);
     }
   }
 
   /// Phase C, second half: push conversions in batch order, then the
-  /// finished count vector lands in the row sink.
-  void settle_pushes(std::size_t b, const std::vector<PushBatch>& pushes,
-                     std::vector<std::size_t> stayers,
-                     std::vector<std::size_t> moved_out,
-                     std::vector<std::size_t> moved_in, double prob) {
+  /// finished count vector lands in the row.
+  void settle_pushes(std::size_t b, double prob) {
     // The simulator skips every push batch when n < 2.
-    if (b == pushes.size() || options.n < 2) {
-      const std::size_t m = machine.num_states();
-      std::vector<std::size_t> counts(m);
-      for (std::size_t i = 0; i < m; ++i) {
-        counts[i] = start[i] - moved_out[i] + moved_in[i];
-      }
-      charge(1);
-      sink.emplace_back(std::move(counts), prob);
+    if (b == pushes_.size() || options_.n < 2) {
+      leaf(prob);
       return;
     }
-    const PushBatch& batch = pushes[b];
-    const std::size_t candidates = stayers[batch.target_state];
+    const PushBatch& batch = pushes_[b];
+    const std::size_t candidates = stayers(batch.target_state);
     if (candidates == 0) {
-      settle_pushes(b + 1, pushes, std::move(stayers), std::move(moved_out),
-                    std::move(moved_in), prob);
+      settle_pushes(b + 1, prob);
       return;
     }
-    const double per_contact = (1.0 - options.message_loss) *
+    const double per_contact = (1.0 - options_.message_loss) *
                                batch.coin_bias /
-                               static_cast<double>(options.n - 1);
+                               static_cast<double>(options_.n - 1);
     const double p_converted =
         1.0 -
         std::pow(1.0 - per_contact, static_cast<double>(batch.contacts));
-    const std::vector<double> pmf =
-        binomial_pmf(candidates, p_converted, log_fact);
+    const std::vector<double>& pmf = pmfs_.get(candidates, p_converted);
     charge(pmf.size());
     for (std::size_t converted = 0; converted <= candidates; ++converted) {
       if (pmf[converted] == 0.0) continue;
-      std::vector<std::size_t> st = stayers;
-      std::vector<std::size_t> out = moved_out;
-      std::vector<std::size_t> in = moved_in;
-      st[batch.target_state] -= converted;
-      out[batch.target_state] += converted;
-      in[batch.to_state] += converted;
-      settle_pushes(b + 1, pushes, std::move(st), std::move(out),
-                    std::move(in), prob * pmf[converted]);
+      move(batch.target_state, batch.to_state, converted);
+      settle_pushes(b + 1, prob * pmf[converted]);
+      unmove(batch.target_state, batch.to_state, converted);
     }
   }
+
+  void leaf(double prob) {
+    charge(1);
+    for (std::size_t i = 0; i < m_; ++i) {
+      leaf_[i] = start_[i] - moved_out_[i] + moved_in_[i];
+    }
+    const std::size_t col =
+        lattice_rank(rank_table_, m_, options_.n, leaf_.data());
+    // A leaf claims its column even when its product underflowed to 0,
+    // so the row's support is exactly the set of reachable outcomes.
+    if (seen_[col] == 0) {
+      seen_[col] = 1;
+      touched_.push_back(col);
+    }
+    mass_[col] += prob;
+  }
+
+  const core::ProtocolStateMachine& machine_;
+  const ExactChainOptions& options_;
+  const std::vector<std::size_t>& rank_table_;
+  const std::size_t m_;
+  PmfCache pmfs_;
+  // The row being built; valid only inside build().
+  const std::size_t* start_ = nullptr;
+  const std::vector<core::TransitionChannel>* channels_ = nullptr;
+  std::size_t branches_ = 0;
+  std::vector<std::size_t> moved_out_;
+  std::vector<std::size_t> moved_in_;
+  std::vector<TokenBatch> tokens_;
+  std::vector<PushBatch> pushes_;
+  std::vector<std::size_t> leaf_;
+  std::vector<double> mass_;
+  std::vector<std::uint8_t> seen_;
+  std::vector<std::size_t> touched_;
 };
+
+/// The transient block Q of the kernel in CSR form, built once per solve
+/// so the Gauss-Seidel sweeps allocate nothing: transient states in chain
+/// order (the sweep order), each row's off-diagonal transient entries
+/// with slot-mapped columns, and 1 / (1 - P_vv). For the absorption solve
+/// (`recurrent` non-empty) it also holds each transient state's one-step
+/// mass into recurrent class recurrent[k], at absorbed[slot * K + k].
+struct TransientBlock {
+  std::vector<std::size_t> states;  ///< slot -> chain state
+  std::vector<std::size_t> slot;    ///< chain state -> slot, or kNone
+  std::vector<std::size_t> row_begin;
+  std::vector<std::size_t> cols;
+  std::vector<double> probs;
+  std::vector<double> inv_stay;
+  std::vector<double> absorbed;
+};
+
+TransientBlock transient_block(
+    const std::vector<std::vector<std::pair<std::uint32_t, double>>>& rows,
+    const std::vector<CommunicatingClass>& classes,
+    const std::vector<std::size_t>& class_of,
+    const std::vector<std::size_t>& recurrent) {
+  TransientBlock block;
+  block.slot.assign(rows.size(), kNone);
+  for (std::size_t v = 0; v < rows.size(); ++v) {
+    if (!classes[class_of[v]].recurrent) {
+      block.slot[v] = block.states.size();
+      block.states.push_back(v);
+    }
+  }
+  std::vector<std::size_t> target(classes.size(), kNone);
+  for (std::size_t k = 0; k < recurrent.size(); ++k) target[recurrent[k]] = k;
+
+  const std::size_t num_transient = block.states.size();
+  block.row_begin.reserve(num_transient + 1);
+  block.row_begin.push_back(0);
+  block.inv_stay.resize(num_transient);
+  block.absorbed.assign(num_transient * recurrent.size(), 0.0);
+  for (std::size_t t = 0; t < num_transient; ++t) {
+    const std::size_t v = block.states[t];
+    double self = 0.0;
+    for (const auto& [w, prob] : rows[v]) {
+      if (w == v) {
+        self = prob;
+      } else if (block.slot[w] != kNone) {
+        block.cols.push_back(block.slot[w]);
+        block.probs.push_back(prob);
+      } else if (target[class_of[w]] != kNone) {
+        block.absorbed[t * recurrent.size() + target[class_of[w]]] += prob;
+      }
+    }
+    block.inv_stay[t] = 1.0 / (1.0 - self);
+    block.row_begin.push_back(block.cols.size());
+  }
+  return block;
+}
 
 }  // namespace
 
@@ -317,33 +452,50 @@ ExactChain::ExactChain(const core::ProtocolStateMachine& machine,
 }
 
 void ExactChain::enumerate_states() {
-  // Lexicographic enumeration keeps states_ sorted, so index_of is a
-  // binary search with no side table.
+  // Lexicographic enumeration, so a state's index is its lattice rank.
+  const std::size_t n = options_.n;
   std::vector<std::size_t> counts(num_machine_states_, 0);
   const auto fill = [&](auto&& self, std::size_t level,
                         std::size_t used) -> void {
     if (level + 1 == num_machine_states_) {
-      counts[level] = options_.n - used;
+      counts[level] = n - used;
       states_.push_back(counts);
       counts[level] = 0;
       return;
     }
-    for (std::size_t c = 0; c + used <= options_.n; ++c) {
+    for (std::size_t c = 0; c + used <= n; ++c) {
       counts[level] = c;
       self(self, level + 1, used + c);
     }
     counts[level] = 0;
   };
-  states_.reserve(state_space_size(num_machine_states_, options_.n));
+  states_.reserve(state_space_size(num_machine_states_, n));
   fill(fill, 0, 0);
+
+  // C(r + k, k) by Pascal's rule. Every entry is at most the lattice
+  // size C(n + S - 1, S - 1), which already passed the max_states budget.
+  rank_table_.assign(num_machine_states_ * (n + 1), 1);
+  for (std::size_t k = 1; k < num_machine_states_; ++k) {
+    for (std::size_t r = 1; r <= n; ++r) {
+      rank_table_[k * (n + 1) + r] =
+          rank_table_[(k - 1) * (n + 1) + r] + rank_table_[k * (n + 1) + r - 1];
+    }
+  }
 }
 
 std::optional<std::size_t> ExactChain::index_of(
     const std::vector<std::size_t>& counts) const {
   if (counts.size() != num_machine_states_) return std::nullopt;
-  const auto it = std::lower_bound(states_.begin(), states_.end(), counts);
-  if (it == states_.end() || *it != counts) return std::nullopt;
-  return static_cast<std::size_t>(it - states_.begin());
+  // Fail closed before ranking: every entry within n and the running sum
+  // checked against n - total, so no wrapped sum can reach the ranker.
+  std::size_t total = 0;
+  for (const std::size_t c : counts) {
+    if (c > options_.n - total) return std::nullopt;
+    total += c;
+  }
+  if (total != options_.n) return std::nullopt;
+  return lattice_rank(rank_table_, num_machine_states_, options_.n,
+                      counts.data());
 }
 
 std::size_t ExactChain::seeded_index(
@@ -369,10 +521,11 @@ void ExactChain::build_kernel(const core::ProtocolStateMachine& machine) {
     log_fact[k] = log_fact[k - 1] + std::log(static_cast<double>(k));
   }
   rows_.resize(states_.size());
-  std::vector<std::pair<std::vector<std::size_t>, double>> sink;
+  RowBuilder builder(machine, options_, log_fact, rank_table_,
+                     states_.size());
+  num::Vec hit(num_machine_states_, 0.0);
   for (std::size_t r = 0; r < states_.size(); ++r) {
     const std::vector<std::size_t>& start = states_[r];
-    num::Vec hit(num_machine_states_, 0.0);
     if (options_.n >= 2) {
       const double denom = static_cast<double>(options_.n - 1);
       for (std::size_t s = 0; s < num_machine_states_; ++s) {
@@ -381,43 +534,18 @@ void ExactChain::build_kernel(const core::ProtocolStateMachine& machine) {
     }
     const std::vector<core::TransitionChannel> channels =
         core::transition_channels(machine, hit, options_.message_loss);
-
-    sink.clear();
-    RowBuilder builder{machine, options_, log_fact, start, channels, sink};
-    builder.expand_state(0, std::vector<std::size_t>(num_machine_states_, 0),
-                         std::vector<std::size_t>(num_machine_states_, 0),
-                         {}, {}, 1.0);
-
-    // Fold duplicate outcomes and store the row sparse and sorted.
-    std::vector<std::pair<std::uint32_t, double>>& row = rows_[r];
-    row.clear();
-    for (auto& [counts, prob] : sink) {
-      const std::optional<std::size_t> col = index_of(counts);
-      row.emplace_back(static_cast<std::uint32_t>(*col), prob);
-    }
-    std::sort(row.begin(), row.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-    std::size_t write = 0;
-    for (std::size_t i = 0; i < row.size(); ++i) {
-      if (write > 0 && row[write - 1].first == row[i].first) {
-        row[write - 1].second += row[i].second;
-      } else {
-        row[write++] = row[i];
-      }
-    }
-    row.resize(write);
+    builder.build(start, channels, rows_[r]);
   }
 }
 
 void ExactChain::compute_classes() {
   // Iterative Tarjan over the kernel's support digraph.
   const std::size_t m = states_.size();
-  constexpr std::size_t kUnset = std::numeric_limits<std::size_t>::max();
-  std::vector<std::size_t> index(m, kUnset);
+  std::vector<std::size_t> index(m, kNone);
   std::vector<std::size_t> lowlink(m, 0);
   std::vector<bool> on_stack(m, false);
   std::vector<std::size_t> stack;
-  std::vector<std::size_t> scc_of(m, kUnset);
+  std::vector<std::size_t> scc_of(m, kNone);
   std::size_t next_index = 0;
   std::size_t num_sccs = 0;
 
@@ -427,7 +555,7 @@ void ExactChain::compute_classes() {
   };
   std::vector<Frame> frames;
   for (std::size_t root = 0; root < m; ++root) {
-    if (index[root] != kUnset) continue;
+    if (index[root] != kNone) continue;
     frames.push_back(Frame{root, 0});
     index[root] = lowlink[root] = next_index++;
     stack.push_back(root);
@@ -438,7 +566,7 @@ void ExactChain::compute_classes() {
       if (fr.edge < rows_[v].size()) {
         const std::size_t w = rows_[v][fr.edge].first;
         ++fr.edge;
-        if (index[w] == kUnset) {
+        if (index[w] == kNone) {
           index[w] = lowlink[w] = next_index++;
           stack.push_back(w);
           on_stack[w] = true;
@@ -507,56 +635,46 @@ std::vector<double> ExactChain::absorption_probabilities(
     return result;
   }
   const std::vector<std::size_t> recurrent = recurrent_classes();
+  // A finite chain leaves its transient states almost surely, so a lone
+  // recurrent class absorbs everything.
+  if (recurrent.size() == 1) {
+    result[recurrent[0]] = 1.0;
+    return result;
+  }
 
   // Gauss-Seidel on u_k(i) = sum_j P(i,j) [j transient ? u_k(j) : 1{class
   // j == k}] over the transient block, all target classes swept together.
   // (I - Q) is a strictly substochastic M-matrix, so the sweeps converge.
-  const std::size_t m = states_.size();
-  constexpr std::size_t kNone = std::numeric_limits<std::size_t>::max();
-  std::vector<std::size_t> slot(m, kNone);
-  std::vector<std::size_t> transient;
-  for (std::size_t v = 0; v < m; ++v) {
-    if (!classes_[class_of_[v]].recurrent) {
-      slot[v] = transient.size();
-      transient.push_back(v);
-    }
-  }
-  std::vector<std::vector<double>> u(
-      transient.size(), std::vector<double>(recurrent.size(), 0.0));
+  const TransientBlock block =
+      transient_block(rows_, classes_, class_of_, recurrent);
+  const std::size_t num_targets = recurrent.size();
+  const std::size_t num_transient = block.states.size();
+  std::vector<double> u(num_transient * num_targets, 0.0);
+  std::vector<double> acc(num_targets, 0.0);
   constexpr std::size_t kMaxSweeps = 200000;
   constexpr double kTol = 1e-12;
   for (std::size_t sweep = 0; sweep < kMaxSweeps; ++sweep) {
     double worst = 0.0;
-    for (std::size_t t = 0; t < transient.size(); ++t) {
-      const std::size_t v = transient[t];
-      double self = 0.0;
-      std::vector<double> acc(recurrent.size(), 0.0);
-      for (const auto& [w, prob] : rows_[v]) {
-        if (w == v) {
-          self = prob;
-          continue;
-        }
-        if (slot[w] != kNone) {
-          const std::vector<double>& uw = u[slot[w]];
-          for (std::size_t k = 0; k < recurrent.size(); ++k) {
-            acc[k] += prob * uw[k];
-          }
-        } else {
-          for (std::size_t k = 0; k < recurrent.size(); ++k) {
-            if (class_of_[w] == recurrent[k]) acc[k] += prob;
-          }
-        }
+    for (std::size_t t = 0; t < num_transient; ++t) {
+      double* ut = u.data() + t * num_targets;
+      std::copy_n(block.absorbed.data() + t * num_targets, num_targets,
+                  acc.data());
+      for (std::size_t e = block.row_begin[t]; e < block.row_begin[t + 1];
+           ++e) {
+        const double prob = block.probs[e];
+        const double* uw = u.data() + block.cols[e] * num_targets;
+        for (std::size_t k = 0; k < num_targets; ++k) acc[k] += prob * uw[k];
       }
-      for (std::size_t k = 0; k < recurrent.size(); ++k) {
-        const double next = acc[k] / (1.0 - self);
-        worst = std::max(worst, std::abs(next - u[t][k]));
-        u[t][k] = next;
+      for (std::size_t k = 0; k < num_targets; ++k) {
+        const double next = acc[k] * block.inv_stay[t];
+        worst = std::max(worst, std::abs(next - ut[k]));
+        ut[k] = next;
       }
     }
     if (worst < kTol) break;
   }
-  const std::vector<double>& us = u[slot[start]];
-  for (std::size_t k = 0; k < recurrent.size(); ++k) {
+  const double* us = u.data() + block.slot[start] * num_targets;
+  for (std::size_t k = 0; k < num_targets; ++k) {
     result[recurrent[k]] = us[k];
   }
   return result;
@@ -564,40 +682,27 @@ std::vector<double> ExactChain::absorption_probabilities(
 
 double ExactChain::expected_absorption_time(std::size_t start) const {
   if (classes_[class_of_.at(start)].recurrent) return 0.0;
-  const std::size_t m = states_.size();
-  constexpr std::size_t kNone = std::numeric_limits<std::size_t>::max();
-  std::vector<std::size_t> slot(m, kNone);
-  std::vector<std::size_t> transient;
-  for (std::size_t v = 0; v < m; ++v) {
-    if (!classes_[class_of_[v]].recurrent) {
-      slot[v] = transient.size();
-      transient.push_back(v);
-    }
-  }
   // Gauss-Seidel on t(i) = 1 + sum_{j transient} P(i,j) t(j).
-  std::vector<double> t(transient.size(), 0.0);
+  const TransientBlock block = transient_block(rows_, classes_, class_of_, {});
+  const std::size_t num_transient = block.states.size();
+  std::vector<double> t(num_transient, 0.0);
   constexpr std::size_t kMaxSweeps = 200000;
   constexpr double kTol = 1e-10;
   for (std::size_t sweep = 0; sweep < kMaxSweeps; ++sweep) {
     double worst = 0.0;
-    for (std::size_t i = 0; i < transient.size(); ++i) {
-      const std::size_t v = transient[i];
-      double self = 0.0;
+    for (std::size_t i = 0; i < num_transient; ++i) {
       double acc = 1.0;
-      for (const auto& [w, prob] : rows_[v]) {
-        if (w == v) {
-          self = prob;
-        } else if (slot[w] != kNone) {
-          acc += prob * t[slot[w]];
-        }
+      for (std::size_t e = block.row_begin[i]; e < block.row_begin[i + 1];
+           ++e) {
+        acc += block.probs[e] * t[block.cols[e]];
       }
-      const double next = acc / (1.0 - self);
+      const double next = acc * block.inv_stay[i];
       worst = std::max(worst, std::abs(next - t[i]));
       t[i] = next;
     }
     if (worst < kTol) break;
   }
-  return t[slot[start]];
+  return t[block.slot[start]];
 }
 
 std::vector<double> ExactChain::stationary_distribution() const {
@@ -610,7 +715,6 @@ std::vector<double> ExactChain::stationary_distribution() const {
   }
   const std::vector<std::size_t>& members = classes_[recurrent[0]].members;
   const std::size_t m = states_.size();
-  constexpr std::size_t kNone = std::numeric_limits<std::size_t>::max();
   std::vector<std::size_t> slot(m, kNone);
   for (std::size_t i = 0; i < members.size(); ++i) slot[members[i]] = i;
 

@@ -9,15 +9,20 @@
 // transition kernel of sim::CountSimulator's fault-free dynamics: the
 // same core::transition_channels probabilities, the same sequential
 // binomial stop-after-first-firing chains, the same Jacobi token/push
-// settlement, convolved symbolically instead of sampled. Everything the
-// simulators can only estimate is then a linear-algebra question on a
-// sparse row-stochastic matrix:
+// settlement, enumerated instead of sampled. Each row is one depth-first
+// walk over the branch tree of those draws that mutates and undoes a
+// per-row scratch state (no per-branch copies), computes each distinct
+// binomial pmf once, and lands every leaf in a dense per-row accumulator
+// at the leaf's combinatorial-number-system rank -- the lattice index
+// in O(S), no search. Everything the simulators can only estimate is
+// then a linear-algebra question on a sparse row-stochastic matrix:
 //
 //   * communicating classes (Tarjan SCC): exact recurrent / transient /
 //     absorbing classification, upgrading the reach.* occupancy fixpoint
 //     from "can mass ever get there" to "where does probability end up";
 //   * absorption probabilities and expected hitting times from the seeded
-//     start (sparse Gauss-Seidel solves of (I - Q) u = b, no new deps);
+//     start (Gauss-Seidel solves of (I - Q) u = b over the transient block
+//     packed once as CSR; no new deps);
 //   * the stationary distribution of an ergodic chain, whose mean and
 //     per-state count variance are compared against the mean-field fixed
 //     point and the CLT prediction of core/fluctuations.* by the exact.*
@@ -49,7 +54,8 @@ struct ExactChainOptions {
   std::size_t n = 32;
   /// Largest admissible count-vector lattice, C(n + S - 1, S - 1).
   std::size_t max_states = 20000;
-  /// Largest outcome expansion while convolving one kernel row.
+  /// Largest branch-tree expansion of one kernel row: every binomial
+  /// branch point charges its support size, every leaf one.
   std::size_t max_row_branches = 4000000;
   /// Per-connection-attempt failure probability f (RuntimeOptions).
   double message_loss = 0.0;
@@ -99,8 +105,9 @@ class ExactChain {
   [[nodiscard]] const std::vector<std::size_t>& state(std::size_t i) const {
     return states_.at(i);
   }
-  /// Chain-state index of a count vector (entries beyond the machine's
-  /// states must be absent); nullopt when the counts do not sum to n.
+  /// Chain-state index of a count vector (its lexicographic lattice
+  /// rank); nullopt unless it has one entry per machine state, each at
+  /// most n, summing to n.
   [[nodiscard]] std::optional<std::size_t> index_of(
       const std::vector<std::size_t>& counts) const;
   /// The seeded start the api layer uses: counts[s] processes in state s,
@@ -130,7 +137,8 @@ class ExactChain {
 
   /// P(absorbed into classes()[k] | start), one entry per class index k
   /// (zero for transient classes). A recurrent start absorbs into its own
-  /// class with probability 1. Sparse Gauss-Seidel on the transient
+  /// class with probability 1, and so does every start when there is
+  /// exactly one recurrent class. Otherwise Gauss-Seidel on the transient
   /// block; rows sum to 1 up to the solver tolerance.
   [[nodiscard]] std::vector<double> absorption_probabilities(
       std::size_t start) const;
@@ -155,12 +163,14 @@ class ExactChain {
  private:
   void enumerate_states();
   void build_kernel(const core::ProtocolStateMachine& machine);
-  void build_row(const core::ProtocolStateMachine& machine, std::size_t row);
   void compute_classes();
 
   ExactChainOptions options_;
   std::size_t num_machine_states_ = 0;
   std::vector<std::vector<std::size_t>> states_;
+  /// C(r + k, k) at [k * (n + 1) + r]: the combinatorial-number-system
+  /// table that ranks a count vector into its lexicographic index.
+  std::vector<std::size_t> rank_table_;
   std::vector<std::vector<std::pair<std::uint32_t, double>>> rows_;
   std::vector<CommunicatingClass> classes_;
   std::vector<std::size_t> class_of_;

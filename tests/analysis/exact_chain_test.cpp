@@ -99,6 +99,11 @@ TEST(ExactChainTest, EnumerationCoversTheLatticeSortedAndInvertible) {
     EXPECT_EQ(chain.index_of(counts), i);
   }
   EXPECT_FALSE(chain.index_of({4, 4}).has_value()) << "does not sum to n";
+  EXPECT_FALSE(chain.index_of({5}).has_value()) << "wrong length";
+  EXPECT_FALSE(chain.index_of({6, 0}).has_value()) << "entry above n";
+  EXPECT_FALSE(
+      chain.index_of({6, std::numeric_limits<std::size_t>::max()}).has_value())
+      << "sum wraps around to n";
 }
 
 TEST(ExactChainTest, SeededIndexPadsTheRemainderIntoStateZero) {
