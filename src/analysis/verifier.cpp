@@ -117,6 +117,16 @@ Report analyze_spec(const api::ScenarioSpec& spec,
         machine_options.seeded_states.push_back(s);
       }
     }
+    const std::size_t states = synthesis->machine.num_states();
+    if (api::resolve_backend(spec.backend, spec.n) == api::Backend::Net &&
+        states > net::NetSimulator::kMaxStates) {
+      report.findings.push_back(
+          {Severity::Error, "spec.net-states", "source",
+           "net backend datagrams carry a state in one byte, so at most " +
+               std::to_string(net::NetSimulator::kMaxStates) +
+               " states fit; the machine has " + std::to_string(states),
+           static_cast<double>(states)});
+    }
     std::vector<Finding> more = analyze_machine(
         synthesis->machine, synthesis->source, machine_options);
     report.findings.insert(report.findings.end(),

@@ -374,6 +374,7 @@ ExperimentRun Experiment::launch_impl() {
     auto event = std::make_unique<sim::EventSimulator>(
         spec_.n, machine, spec_.seed, options);
     run.event_ = event.get();
+    run.async_ = event.get();
     run.simulator_ = std::move(event);
   } else if (backend == Backend::Net) {
     if (spec_.n > net::NetSimulator::kMaxNodes) {
@@ -392,6 +393,7 @@ ExperimentRun Experiment::launch_impl() {
     auto net = std::make_unique<net::NetSimulator>(spec_.n, machine,
                                                    spec_.seed, options);
     run.net_ = net.get();
+    run.async_ = net.get();
     run.simulator_ = std::move(net);
   } else {
     sim::CountSimOptions options;
@@ -451,8 +453,7 @@ void ExperimentRun::stream_series(
   // duplicates initial_counts and is skipped, exactly as finish() skips it
   // in the retained path.
   simulator_->metrics().set_sample_sink(
-      [this, sink = std::move(sink),
-       skip_first = event_ != nullptr || net_ != nullptr](
+      [this, sink = std::move(sink), skip_first = async_ != nullptr](
           const sim::PeriodSample& sample) mutable {
         if (skip_first) {
           skip_first = false;
@@ -491,8 +492,8 @@ ExperimentResult ExperimentRun::finish() {
   if (!streaming_) {
     const std::vector<sim::PeriodSample>& samples =
         simulator_->metrics().samples();
-    for (std::size_t i = (event_ != nullptr || net_ != nullptr ? 1 : 0);
-         i < samples.size(); ++i) {
+    for (std::size_t i = async_ != nullptr ? 1 : 0; i < samples.size();
+         ++i) {
       const sim::PeriodSample& sample = samples[i];
       result.series.push_back(PeriodPoint{sample.time, sample.alive_in_state,
                                           sample.total_alive});

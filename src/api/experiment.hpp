@@ -159,6 +159,7 @@ class ExperimentRun {
   // result stats (token/probe counters vs. network counters).
   std::unique_ptr<sim::Simulator> simulator_;
   std::unique_ptr<sim::MachineExecutor> executor_;  // sync backend only
+  sim::AsyncEngine* async_ = nullptr;               // event or net backend
   sim::EventSimulator* event_ = nullptr;            // event backend only
   sim::CountSimulator* count_ = nullptr;            // count backend only
   net::NetSimulator* net_ = nullptr;                // net backend only

@@ -50,10 +50,10 @@
 #include "sim/metrics.hpp"
 #include "sim/churn.hpp"
 #include "sim/fault_plan.hpp"
-#include "sim/swim.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/simulator.hpp"
 #include "sim/sync_sim.hpp"
+#include "sim/async_engine.hpp"
 #include "sim/event_sim.hpp"
 #include "sim/count_sim.hpp"
 #include "sim/runtime.hpp"

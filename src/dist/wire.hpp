@@ -125,10 +125,6 @@ class Transport {
   /// Read up to `n` raw bytes into `out`. Returns the byte count, 0 on
   /// end-of-stream, -1 on error or (for non-blocking fds) would-block.
   virtual long read_some(char* out, std::size_t n) = 0;
-
-  /// The fd to poll for readability, or -1 when the transport does not
-  /// expose one.
-  [[nodiscard]] virtual int poll_fd() const = 0;
 };
 
 /// Transport over a pair of file descriptors -- the worker's stdin/stdout
@@ -144,7 +140,6 @@ class FdTransport final : public Transport {
 
   bool send(const Frame& frame) override;
   long read_some(char* out, std::size_t n) override;
-  [[nodiscard]] int poll_fd() const override { return read_fd_; }
 
  private:
   int read_fd_;

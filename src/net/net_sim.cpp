@@ -1,12 +1,10 @@
 #include "net/net_sim.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
+#include <string>
+#include <system_error>
 #include <utility>
-
-#include "core/action.hpp"
-#include "sim/fault_plan.hpp"
 
 namespace deproto::net {
 
@@ -22,71 +20,61 @@ constexpr unsigned kJoinRetries = 3;
 /// bounded even when the next sim event is far away.
 constexpr int kMaxPollMs = 100;
 
+/// Validate everything the engine does not (it checks clock_drift) before
+/// any state is allocated for `n` processes; returns `machine`.
+core::ProtocolStateMachine checked(core::ProtocolStateMachine machine,
+                                   std::size_t n,
+                                   const NetSimOptions& options) {
+  if (n < 2 || n > NetSimulator::kMaxNodes) {
+    throw std::invalid_argument(
+        "NetSimulator: n must lie in [2, " +
+        std::to_string(NetSimulator::kMaxNodes) +
+        "] (socket per node; larger populations belong on the count "
+        "backend)");
+  }
+  if (machine.num_states() > NetSimulator::kMaxStates) {
+    throw std::invalid_argument(
+        "NetSimulator: " + std::to_string(machine.num_states()) +
+        " states do not fit the one-byte state field of a datagram (at "
+        "most " +
+        std::to_string(NetSimulator::kMaxStates) + ")");
+  }
+  if (!(options.period_ms > 0.0)) {
+    throw std::invalid_argument("NetSimulator: period_ms must be positive");
+  }
+  if (!(options.probe_timeout > 0.0)) {
+    throw std::invalid_argument(
+        "NetSimulator: probe_timeout must be positive");
+  }
+  if (!(options.message_loss >= 0.0 && options.message_loss < 1.0)) {
+    throw std::invalid_argument(
+        "NetSimulator: message_loss must lie in [0, 1)");
+  }
+  return machine;
+}
+
 }  // namespace
 
 NetSimulator::NetSimulator(std::size_t n,
                            core::ProtocolStateMachine machine,
                            std::uint64_t seed, NetSimOptions options)
-    : machine_(std::move(machine)),
+    : AsyncEngine(n, checked(std::move(machine), n, options), nullptr, seed,
+                  options.clock_drift, options.tokens),
       options_(options),
-      rng_(seed),
-      group_(n, machine_.num_states()),
-      metrics_(machine_.num_states()) {
-  if (n < 2 || n > kMaxNodes) {
-    throw std::invalid_argument(
-        "NetSimulator: n must lie in [2, " + std::to_string(kMaxNodes) +
-        "] (socket per node; larger populations belong on the count "
-        "backend)");
-  }
-  if (!(options_.period_ms > 0.0)) {
-    throw std::invalid_argument("NetSimulator: period_ms must be positive");
-  }
-  if (!(options_.probe_timeout > 0.0)) {
-    throw std::invalid_argument(
-        "NetSimulator: probe_timeout must be positive");
-  }
-  if (!(options_.message_loss >= 0.0 && options_.message_loss < 1.0)) {
-    throw std::invalid_argument(
-        "NetSimulator: message_loss must lie in [0, 1)");
-  }
-  if (!(options_.clock_drift >= 0.0 && options_.clock_drift < 0.5)) {
-    throw std::invalid_argument("NetSimulator: bad clock drift");
-  }
-  nodes_.resize(n);
-  addr_.resize(n);
+      nodes_(n),
+      addr_(n) {
   for (sim::ProcessId pid = 0; pid < n; ++pid) {
     Node& node = nodes_[pid];
     node.socket = UdpSocket::bind_loopback();
     node.home_port = node.socket.port();
     addr_[pid] = loopback_endpoint(node.home_port);
-    node.period =
-        rng_.uniform(1.0 - options_.clock_drift, 1.0 + options_.clock_drift);
-    // Arbitrary phase: the first tick falls anywhere in the first period.
-    const std::uint64_t epoch = node.timer_epoch;
-    const sim::ProcessId copy = pid;
-    queue_.schedule(rng_.uniform01() * node.period,
-                    [this, copy, epoch] { on_tick(copy, epoch); });
-  }
-}
-
-void NetSimulator::seed_states(const std::vector<std::size_t>& counts) {
-  std::size_t total = 0;
-  for (std::size_t c : counts) total += c;
-  if (counts.size() > group_.num_states() || total > group_.size()) {
-    throw std::invalid_argument("seed_states: bad counts");
-  }
-  sim::ProcessId pid = 0;
-  for (std::size_t s = 0; s < counts.size(); ++s) {
-    for (std::size_t k = 0; k < counts[s]; ++k, ++pid) {
-      group_.transition(pid, s);
-    }
   }
 }
 
 // ---------------------------------------------------------------------
 // Wall clock <-> sim time. One protocol period == period_ms of real
-// time; the anchors are reset at every run_until so sim time does not
-// elapse between runs.
+// time; the anchors are reset at every run so sim time does not elapse
+// between runs.
 
 double NetSimulator::sim_of(Clock::time_point wall) const {
   const double ms = std::chrono::duration<double, std::milli>(
@@ -103,20 +91,13 @@ NetSimulator::Clock::time_point NetSimulator::wall_of(
                                 options_.period_ms));
 }
 
-void NetSimulator::run_for(double periods) { run_until(now() + periods); }
-
-void NetSimulator::run_until(double t_end) {
+void NetSimulator::start_run() {
   anchor_wall_ = Clock::now();
-  anchor_sim_ = queue_.now();
-  while (next_sample_ <= t_end) {
-    advance_to(next_sample_);
-    sample_metrics();
-    next_sample_ += 1.0;
-  }
-  advance_to(t_end);
+  anchor_sim_ = now();
 }
 
 void NetSimulator::advance_to(double t_end) {
+  sim::EventQueue& events = queue();
   for (;;) {
     // Run everything the wall clock has made due, then either finish or
     // sleep in poll() until the next sim event (or a datagram) is ready.
@@ -126,17 +107,17 @@ void NetSimulator::advance_to(double t_end) {
     // their timeouts can all be due at once while the probe replies sit
     // unread in the kernel buffers. Expiring those probes before reading
     // the buffers would turn a CPU hiccup into fake total loss.
-    while (queue_.next_time() <= reach) {
-      queue_.run_until(queue_.next_time());
+    while (events.next_time() <= reach) {
+      events.run_until(events.next_time());
       poll_and_drain(Clock::now());
       reach = std::min(sim_of(Clock::now()), t_end);
     }
-    if (reach > queue_.now()) queue_.run_until(reach);
+    if (reach > events.now()) events.run_until(reach);
     if (reach >= t_end) {
-      queue_.run_until(t_end);
+      events.run_until(t_end);
       return;
     }
-    const double next_t = std::min(queue_.next_time(), t_end);
+    const double next_t = std::min(events.next_time(), t_end);
     poll_and_drain(wall_of(next_t));
   }
 }
@@ -161,15 +142,8 @@ void NetSimulator::poll_and_drain(Clock::time_point deadline) {
   for (const WatchedFd& w : watched_) {
     fds.push_back(pollfd{w.fd, POLLIN, 0});
   }
-  if (fds.empty()) {
-    // Everyone is crashed and nothing external is watched: just let the
-    // wall clock reach the deadline.
-    if (timeout_ms > 0) {
-      std::vector<pollfd> none;
-      poll_sockets(none, timeout_ms);
-    }
-    return;
-  }
+  // With every node crashed and nothing watched, this just sleeps until
+  // the deadline.
   if (poll_sockets(fds, timeout_ms) <= 0) return;
   for (std::size_t i = 0; i < watched_base; ++i) {
     if ((fds[i].revents & POLLIN) != 0) drain_node(owners[i]);
@@ -210,10 +184,10 @@ void NetSimulator::handle_packet(sim::ProcessId pid, const Packet& packet,
   Node& node = nodes_[pid];
   switch (packet.type) {
     case PacketType::Probe: {
-      if (!group_.alive(pid)) return;
+      if (!group().alive(pid)) return;
       Packet reply;
       reply.type = PacketType::ProbeReply;
-      reply.state = static_cast<std::uint8_t>(group_.state_of(pid));
+      reply.state = static_cast<std::uint8_t>(group().state_of(pid));
       reply.tag = packet.tag;
       send_packet(pid, from, reply);
       return;
@@ -222,38 +196,19 @@ void NetSimulator::handle_packet(sim::ProcessId pid, const Packet& packet,
       const auto it = node.pending.find(packet.tag);
       if (it == node.pending.end()) return;  // timed out or stale ack
       record_rtt(it->second.sent_at);
-      const std::shared_ptr<ProbeContext> ctx = it->second.ctx;
+      const Probe probe = std::move(it->second.probe);
       node.pending.erase(it);
-      resolve_probe(ctx, static_cast<std::size_t>(packet.state));
+      resolve_probe(probe, static_cast<std::size_t>(packet.state));
       return;
     }
-    case PacketType::Push: {
-      if (group_.alive(pid) && group_.state_of(pid) == packet.arg0 &&
-          rng_.bernoulli(q32_to_coin(packet.arg2))) {
-        group_.transition(pid, packet.arg1);
-      }
+    case PacketType::Push:
+      deliver_push(pid, packet.arg0, packet.arg1, q32_to_coin(packet.arg2));
       return;
-    }
-    case PacketType::Token: {
-      if (group_.alive(pid) && group_.state_of(pid) == packet.arg0) {
-        group_.transition(pid, packet.arg1);
-        ++tokens_.delivered;
-        return;
-      }
-      if (packet.arg2 > 0) {
-        // Random-walk routing: forward with one hop fewer.
-        Packet forward = packet;
-        forward.arg2 = packet.arg2 - 1;
-        const auto target =
-            static_cast<sim::ProcessId>(rng_.uniform_int(group_.size()));
-        if (!send_packet(pid, addr_[target], forward)) ++tokens_.dropped;
-        return;
-      }
-      ++tokens_.dropped;
+    case PacketType::Token:
+      deliver_token(pid, Token{packet.arg0, packet.arg1, packet.arg2});
       return;
-    }
     case PacketType::Join: {
-      if (!group_.alive(pid)) return;
+      if (!group().alive(pid)) return;
       ++stats_.joins;
       Packet ack;
       ack.type = PacketType::JoinAck;
@@ -262,36 +217,28 @@ void NetSimulator::handle_packet(sim::ProcessId pid, const Packet& packet,
       return;
     }
     case PacketType::JoinAck: {
-      if (!group_.alive(pid) || node.active ||
+      if (!group().alive(pid) || node.active ||
           packet.tag != node.incarnation) {
         return;  // stale ack from an earlier incarnation
       }
       node.active = true;
-      const std::uint64_t epoch = node.timer_epoch;
-      queue_.schedule_in(rng_.uniform01() * node.period,
-                         [this, pid, epoch] { on_tick(pid, epoch); });
+      activate(pid);
       return;
     }
-    case PacketType::Leave: {
+    case PacketType::Leave:
       ++stats_.leaves;
       return;
-    }
   }
-}
-
-bool NetSimulator::emulated_drop() {
-  if (options_.message_loss > 0.0 && rng_.bernoulli(options_.message_loss)) {
-    ++stats_.emulated_drops;
-    return true;
-  }
-  return false;
 }
 
 bool NetSimulator::send_packet(sim::ProcessId from, const sockaddr_in& dest,
                                Packet packet) {
   Node& node = nodes_[from];
   if (!node.socket.open()) return false;
-  if (emulated_drop()) return false;
+  if (options_.message_loss > 0.0 && rng().bernoulli(options_.message_loss)) {
+    ++stats_.emulated_drops;
+    return false;
+  }
   packet.sender = from;
   packet.seq = node.next_seq++;
   const std::string bytes = encode_packet(packet);
@@ -313,217 +260,73 @@ void NetSimulator::record_rtt(Clock::time_point sent_at) {
 }
 
 // ---------------------------------------------------------------------
-// Protocol execution: one timer per node, the same action semantics as
-// sim/event_sim.cpp, with probes as real request/response datagrams.
+// The channel seam: messages as datagrams.
 
-void NetSimulator::arm_timer(sim::ProcessId pid) {
-  const std::uint64_t epoch = nodes_[pid].timer_epoch;
-  queue_.schedule_in(nodes_[pid].period,
-                     [this, pid, epoch] { on_tick(pid, epoch); });
+void NetSimulator::send_probe(sim::ProcessId from, sim::ProcessId to,
+                              const Probe& probe) {
+  const std::uint64_t probe_id = next_probe_id_++;
+  ++stats_.probes_sent;
+  nodes_[from].pending.emplace(probe_id, PendingProbe{probe, Clock::now()});
+  Packet packet;
+  packet.type = PacketType::Probe;
+  packet.state = static_cast<std::uint8_t>(group().state_of(from));
+  packet.tag = probe_id;
+  send_packet(from, addr_[to], packet);
+  // The loss surrogate: if no reply claimed this probe id by the
+  // deadline, it resolves as lost -- whether the request leg, the reply
+  // leg, a crashed target, or an emulated drop ate it.
+  queue().schedule_in(options_.probe_timeout, [this, from, probe_id] {
+    Node& owner = nodes_[from];
+    const auto it = owner.pending.find(probe_id);
+    if (it == owner.pending.end()) return;
+    const Probe expired = std::move(it->second.probe);
+    owner.pending.erase(it);
+    ++stats_.probe_timeouts;
+    resolve_probe(expired, std::nullopt);
+  });
 }
 
-void NetSimulator::on_tick(sim::ProcessId pid, std::uint64_t epoch) {
-  if (epoch != nodes_[pid].timer_epoch || !group_.alive(pid)) return;
-  const std::size_t state = group_.state_of(pid);
-  for (std::size_t idx : machine_.actions_of(state)) {
-    run_action(pid, idx);
-  }
-  arm_timer(pid);
+void NetSimulator::send_push(sim::ProcessId from, sim::ProcessId to,
+                             const core::PushAction& push) {
+  Packet packet;
+  packet.type = PacketType::Push;
+  packet.state = static_cast<std::uint8_t>(group().state_of(from));
+  packet.arg0 = static_cast<std::uint32_t>(push.target_state);
+  packet.arg1 = static_cast<std::uint32_t>(push.to_state);
+  packet.arg2 = coin_to_q32(push.coin_bias);
+  send_packet(from, addr_[to], packet);
 }
 
-void NetSimulator::probe_all(
-    sim::ProcessId pid, std::size_t count,
-    std::function<void(const std::vector<std::optional<std::size_t>>&)>
-        done) {
-  auto ctx = std::make_shared<ProbeContext>();
-  ctx->remaining = count;
-  ctx->done = std::move(done);
-  ctx->states.reserve(count);
-  if (count == 0) {
-    ctx->done({});
-    return;
-  }
-  Node& node = nodes_[pid];
-  for (std::size_t k = 0; k < count; ++k) {
-    const sim::ProcessId target = group_.random_target(pid, rng_);
-    const std::uint64_t probe_id = next_probe_id_++;
-    ++stats_.probes_sent;
-    node.pending.emplace(probe_id, PendingProbe{ctx, Clock::now()});
-    Packet probe;
-    probe.type = PacketType::Probe;
-    probe.state = static_cast<std::uint8_t>(group_.state_of(pid));
-    probe.tag = probe_id;
-    send_packet(pid, addr_[target], probe);
-    // The loss surrogate: if no reply claimed this probe id by the
-    // deadline, it resolves as lost -- whether the request leg, the
-    // reply leg, a crashed target, or an emulated drop ate it.
-    queue_.schedule_in(options_.probe_timeout, [this, pid, probe_id] {
-      Node& owner = nodes_[pid];
-      const auto it = owner.pending.find(probe_id);
-      if (it == owner.pending.end()) return;
-      const std::shared_ptr<ProbeContext> pending_ctx = it->second.ctx;
-      owner.pending.erase(it);
-      ++stats_.probe_timeouts;
-      resolve_probe(pending_ctx, std::nullopt);
-    });
-  }
-}
-
-void NetSimulator::resolve_probe(const std::shared_ptr<ProbeContext>& ctx,
-                                 std::optional<std::size_t> state) {
-  ctx->states.push_back(state);
-  if (--ctx->remaining == 0) ctx->done(ctx->states);
-}
-
-void NetSimulator::route_token(sim::ProcessId pid, std::size_t token_state,
-                               std::size_t to_state) {
-  ++tokens_.generated;
-  Packet token;
-  token.type = PacketType::Token;
-  token.arg0 = static_cast<std::uint32_t>(token_state);
-  token.arg1 = static_cast<std::uint32_t>(to_state);
-  if (options_.tokens.mode == sim::TokenRouting::Mode::Directory) {
-    if (group_.count(token_state) == 0) {
-      ++tokens_.dropped;  // "If no processes are in state x, drop it"
-      return;
-    }
-    const sim::ProcessId receiver =
-        group_.random_member(token_state, rng_);
-    token.arg2 = 0;  // directory handoff: no forwarding
-    if (!send_packet(pid, addr_[receiver], token)) ++tokens_.dropped;
-    return;
-  }
-  if (options_.tokens.ttl == 0) {
-    ++tokens_.dropped;
-    return;
-  }
-  const auto target =
-      static_cast<sim::ProcessId>(rng_.uniform_int(group_.size()));
-  token.arg2 = options_.tokens.ttl - 1;  // hops left after this one
-  if (!send_packet(pid, addr_[target], token)) ++tokens_.dropped;
-}
-
-void NetSimulator::run_action(sim::ProcessId pid, std::size_t action_index) {
-  const core::Action& action = machine_.actions()[action_index];
-  std::visit(
-      [&](const auto& a) {
-        using T = std::decay_t<decltype(a)>;
-        if constexpr (std::is_same_v<T, core::FlippingAction>) {
-          if (rng_.bernoulli(a.coin_bias)) {
-            group_.transition(pid, a.to_state);
-          }
-        } else if constexpr (std::is_same_v<T, core::SamplingAction>) {
-          const std::size_t count =
-              a.same_state_samples + a.target_states.size();
-          auto spec = a;
-          probe_all(pid, count, [this, pid, spec](const auto& states) {
-            if (!group_.alive(pid) ||
-                group_.state_of(pid) != spec.from_state) {
-              return;  // moved on or crashed while waiting
-            }
-            bool match = true;
-            std::size_t at = 0;
-            for (std::size_t k = 0; match && k < spec.same_state_samples;
-                 ++k, ++at) {
-              match = states[at].has_value() &&
-                      *states[at] == spec.from_state;
-            }
-            for (std::size_t t : spec.target_states) {
-              if (!match) break;
-              match = states[at].has_value() && *states[at] == t;
-              ++at;
-            }
-            if (match && rng_.bernoulli(spec.coin_bias)) {
-              group_.transition(pid, spec.to_state);
-            }
-          });
-        } else if constexpr (std::is_same_v<T, core::TokenizingAction>) {
-          const std::size_t count =
-              a.same_state_samples + a.target_states.size();
-          auto spec = a;
-          probe_all(pid, count, [this, pid, spec](const auto& states) {
-            bool match = true;
-            std::size_t at = 0;
-            for (std::size_t k = 0; match && k < spec.same_state_samples;
-                 ++k, ++at) {
-              match = states[at].has_value() &&
-                      *states[at] == spec.executor_state;
-            }
-            for (std::size_t t : spec.target_states) {
-              if (!match) break;
-              match = states[at].has_value() && *states[at] == t;
-              ++at;
-            }
-            if (match && rng_.bernoulli(spec.coin_bias)) {
-              route_token(pid, spec.token_state, spec.to_state);
-            }
-          });
-        } else if constexpr (std::is_same_v<T, core::PushAction>) {
-          for (unsigned k = 0; k < a.fanout; ++k) {
-            const sim::ProcessId target = group_.random_target(pid, rng_);
-            Packet push;
-            push.type = PacketType::Push;
-            push.state = static_cast<std::uint8_t>(group_.state_of(pid));
-            push.arg0 = static_cast<std::uint32_t>(a.target_state);
-            push.arg1 = static_cast<std::uint32_t>(a.to_state);
-            push.arg2 = coin_to_q32(a.coin_bias);
-            send_packet(pid, addr_[target], push);
-          }
-        } else if constexpr (std::is_same_v<T, core::AnyOfSamplingAction>) {
-          auto spec = a;
-          probe_all(pid, spec.fanout, [this, pid, spec](const auto& states) {
-            if (!group_.alive(pid) ||
-                group_.state_of(pid) != spec.from_state) {
-              return;
-            }
-            bool any = false;
-            for (const auto& s : states) {
-              if (s.has_value() && *s == spec.match_state) any = true;
-            }
-            if (any && rng_.bernoulli(spec.coin_bias)) {
-              group_.transition(pid, spec.to_state);
-            }
-          });
-        }
-      },
-      action);
+bool NetSimulator::send_token(sim::ProcessId from, sim::ProcessId to,
+                              const Token& token) {
+  Packet packet;
+  packet.type = PacketType::Token;
+  packet.arg0 = static_cast<std::uint32_t>(token.token_state);
+  packet.arg1 = static_cast<std::uint32_t>(token.to_state);
+  packet.arg2 = token.hops_left;
+  return send_packet(from, addr_[to], packet);
 }
 
 // ---------------------------------------------------------------------
-// Fault surface: crashes close sockets, recoveries rebind and handshake.
+// Node lifecycle: crashes close sockets, recoveries rebind and handshake.
 
-void NetSimulator::crash_process(sim::ProcessId pid) {
-  if (!group_.alive(pid)) return;
-  group_.crash(pid);
-  note_mass_crashed(pid);
-}
-
-void NetSimulator::note_mass_crashed(sim::ProcessId pid) {
-  // Socket lifecycle for a victim Group::crash_random_alive (or
-  // crash_process) already removed from the population: the port goes
-  // silent mid-flight -- in-flight probes to it will simply time out.
+void NetSimulator::node_down(sim::ProcessId pid, bool graceful) {
+  if (graceful) {
+    // Churn departures announce themselves before going dark; the Leave
+    // is informational (peers already absorb silent exits via timeouts).
+    Packet leave;
+    leave.type = PacketType::Leave;
+    for (unsigned k = 0; k < kHandshakeFanout; ++k) {
+      send_packet(pid, addr_[group().random_target(pid, rng())], leave);
+    }
+  }
+  // The port goes silent mid-flight: in-flight probes to it time out.
   Node& node = nodes_[pid];
-  ++node.timer_epoch;
   node.active = false;
   node.socket.close();
 }
 
-void NetSimulator::graceful_leave(sim::ProcessId pid) {
-  if (!group_.alive(pid)) return;
-  // Churn departures announce themselves before going dark; the Leave is
-  // informational (peers already absorb silent exits via timeouts).
-  for (unsigned k = 0; k < kHandshakeFanout; ++k) {
-    const sim::ProcessId target = group_.random_target(pid, rng_);
-    Packet leave;
-    leave.type = PacketType::Leave;
-    send_packet(pid, addr_[target], leave);
-  }
-  crash_process(pid);
-}
-
-void NetSimulator::recover_process(sim::ProcessId pid) {
-  if (group_.alive(pid)) return;
-  group_.recover(pid, 0);  // machine-mode rejoin state
+bool NetSimulator::node_up(sim::ProcessId pid) {
   Node& node = nodes_[pid];
   // Rebind the home port if it is still free (peers cache endpoints);
   // otherwise take a fresh ephemeral port and republish the address.
@@ -533,116 +336,41 @@ void NetSimulator::recover_process(sim::ProcessId pid) {
     node.socket = UdpSocket::bind_loopback();
   }
   addr_[pid] = loopback_endpoint(node.socket.port());
-  ++node.timer_epoch;
   ++node.incarnation;
-  node.active = false;
   begin_join(pid, kJoinRetries);
+  return false;  // the timer starts once a peer acks the Join
 }
 
 void NetSimulator::begin_join(sim::ProcessId pid, unsigned tries_left) {
   Node& node = nodes_[pid];
-  if (!group_.alive(pid) || node.active) return;
+  if (!group().alive(pid) || node.active) return;
   if (tries_left == 0) {
     // No live peer answered (possibly none exists): activate alone, like
     // the first node of a bootstrapping group.
     node.active = true;
-    const std::uint64_t epoch = node.timer_epoch;
-    queue_.schedule_in(rng_.uniform01() * node.period,
-                       [this, pid, epoch] { on_tick(pid, epoch); });
+    activate(pid);
     return;
   }
   Packet join;
   join.type = PacketType::Join;
   join.tag = node.incarnation;
   for (unsigned k = 0; k < kHandshakeFanout; ++k) {
-    const sim::ProcessId target = group_.random_target(pid, rng_);
-    send_packet(pid, addr_[target], join);
+    send_packet(pid, addr_[group().random_target(pid, rng())], join);
   }
   const std::uint64_t incarnation = node.incarnation;
-  queue_.schedule_in(options_.probe_timeout,
-                     [this, pid, incarnation, tries_left] {
-                       Node& joining = nodes_[pid];
-                       if (joining.active ||
-                           joining.incarnation != incarnation) {
-                         return;  // acked, or superseded by a newer rejoin
-                       }
-                       begin_join(pid, tries_left - 1);
-                     });
+  queue().schedule_in(options_.probe_timeout,
+                      [this, pid, incarnation, tries_left] {
+                        const Node& joining = nodes_[pid];
+                        if (joining.active ||
+                            joining.incarnation != incarnation) {
+                          return;  // acked, or superseded by a rejoin
+                        }
+                        begin_join(pid, tries_left - 1);
+                      });
 }
 
-void NetSimulator::schedule_massive_failure(double time, double fraction) {
-  sim::fault_plan::validate_failure_fraction(fraction);
-  queue_.schedule(std::max(time, queue_.now()), [this, fraction] {
-    const std::size_t victims = sim::fault_plan::failure_victims(
-        fraction, group_.total_alive());
-    for (sim::ProcessId pid : group_.crash_random_alive(victims, rng_)) {
-      note_mass_crashed(pid);
-    }
-  });
-}
-
-void NetSimulator::schedule_crash(sim::ProcessId pid, double time,
-                                  double recover_time) {
-  if (pid >= group_.size()) return;  // ignored, like the other backends
-  queue_.schedule(std::max(time, queue_.now()),
-                  [this, pid] { crash_process(pid); });
-  if (recover_time >= 0.0) {
-    queue_.schedule(std::max(recover_time, queue_.now()),
-                    [this, pid] { recover_process(pid); });
-  }
-}
-
-void NetSimulator::set_crash_recovery(double crash_prob,
-                                      double mean_downtime_periods) {
-  sim::fault_plan::validate_crash_recovery(crash_prob,
-                                           mean_downtime_periods);
-  const std::uint64_t epoch = ++recovery_epoch_;
-  crash_prob_ = crash_prob;
-  mean_downtime_ = mean_downtime_periods;
-  if (crash_prob_ > 0.0) {
-    queue_.schedule_in(1.0, [this, epoch] { on_crash_recovery_tick(epoch); });
-  }
-}
-
-void NetSimulator::on_crash_recovery_tick(std::uint64_t epoch) {
-  if (epoch != recovery_epoch_) return;  // reconfigured; chain abandoned
-  const std::size_t crashes =
-      rng_.binomial(group_.total_alive(), crash_prob_);
-  for (sim::ProcessId pid : group_.crash_random_alive(crashes, rng_)) {
-    note_mass_crashed(pid);
-    if (mean_downtime_ > 0.0) {
-      const sim::ProcessId copy = pid;
-      queue_.schedule_in(
-          sim::fault_plan::recovery_delay(rng_, mean_downtime_),
-          [this, copy] { recover_process(copy); });
-    }
-  }
-  queue_.schedule_in(1.0, [this, epoch] { on_crash_recovery_tick(epoch); });
-}
-
-void NetSimulator::attach_churn(const sim::ChurnTrace& trace,
-                                double periods_per_hour) {
-  const std::uint64_t epoch = ++churn_epoch_;
-  for (const sim::ChurnEvent& e : sim::fault_plan::trace_in_periods(
-           trace, periods_per_hour, queue_.now())) {
-    if (e.host >= group_.size()) continue;
-    const double t = e.time_hours;  // already converted to periods
-    const sim::ProcessId pid = e.host;
-    if (e.up) {
-      queue_.schedule(t, [this, pid, epoch] {
-        if (epoch == churn_epoch_) recover_process(pid);
-      });
-    } else {
-      queue_.schedule(t, [this, pid, epoch] {
-        if (epoch == churn_epoch_) graceful_leave(pid);
-      });
-    }
-  }
-}
-
-void NetSimulator::sample_metrics() {
-  metrics_.begin_period(queue_.now());
-  metrics_.end_period(group_);
+void NetSimulator::kill_node(sim::ProcessId pid) {
+  if (pid < nodes_.size()) crash_process(pid);
 }
 
 NetStats NetSimulator::net_stats() const {
@@ -656,12 +384,6 @@ NetStats NetSimulator::net_stats() const {
 
 std::uint16_t NetSimulator::port_of(sim::ProcessId pid) const {
   return nodes_.at(pid).socket.port();
-}
-
-void NetSimulator::kill_node(sim::ProcessId pid) {
-  if (pid >= group_.size() || !group_.alive(pid)) return;
-  group_.crash(pid);
-  note_mass_crashed(pid);
 }
 
 void NetSimulator::watch_fd(int fd, std::function<void()> on_readable) {

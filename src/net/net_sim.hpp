@@ -1,29 +1,29 @@
 #pragma once
 
-// The real-network execution backend: a fourth sim::Simulator that binds
-// the synthesized state machines to actual UDP sockets on loopback. Each
-// process owns one bound socket; sampling probes, pushes, and tokens are
-// real datagrams (net/packet.hpp); protocol periods are driven off
-// wall-clock timers (options.period_ms per protocol period, with the
-// same per-process drift model as the event backend); and loss, RTT,
-// reordering, and duplication are *measured* properties of the kernel's
-// network stack instead of synthetic draws -- an unanswered probe is
-// declared lost after options.probe_timeout periods, exactly the timeout
-// surrogate a deployed gossip node would use.
-//
-// Simulation time is still counted in fractional protocol periods (the
-// Simulator contract), paced against the wall clock: one period of sim
-// time elapses per period_ms of real time. The fault surface -- massive
-// failures, targeted crashes, background crash-recovery, churn playback
-// -- maps onto socket lifecycle: a crash closes the socket mid-flight
-// (peers see timeouts, not errors), a churn departure gossips a Leave
-// first, and every revival rebinds the port and runs a Join/JoinAck
-// handshake before the node's period timer starts again.
+// The real-network execution backend: the shared sim::AsyncEngine over
+// actual UDP sockets on loopback. The engine owns everything a process
+// does -- timers, action semantics, probe collection, token routing, and
+// the fault surface -- exactly as for the event backend; this class is
+// only the channel behind its seam:
+//   send_probe  a Probe datagram; the ProbeReply resolves the probe, and
+//               an unanswered probe resolves as lost after
+//               options.probe_timeout periods, the timeout surrogate a
+//               deployed gossip node would use;
+//   send_push   a Push datagram (coin bias in Q32 fixed point);
+//   send_token  a Token datagram, forwarded hop by hop on a random walk;
+//   node_down   the socket closes mid-flight (peers see timeouts, not
+//               errors); a churn departure gossips a Leave first;
+//   node_up     the port is rebound and a Join/JoinAck handshake runs
+//               before the node's period timer starts again;
+//   advance_to  the event queue is paced against the wall clock
+//               (options.period_ms per protocol period, anchored at
+//               start_run) while incoming datagrams are polled and drained.
+// Loss, RTT, reordering, and duplication are *measured* properties of the
+// kernel's network stack (NetStats, SequenceTracker), not synthetic draws.
 //
 // All N nodes live in one OS process (loopback deployment); group state
 // is shared, so directory token routing and population metrics read the
-// same oracle the event backend uses. The per-message behavior mirrors
-// sim/event_sim.cpp action for action, so the loopback equivalence suite
+// same oracle the event backend uses, and the loopback equivalence suite
 // can pin net steady states against sync/event/mean-field.
 
 #include <netinet/in.h>
@@ -32,18 +32,14 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <memory>
-#include <optional>
+#include <unordered_map>
 #include <vector>
 
 #include "core/state_machine.hpp"
 #include "net/packet.hpp"
 #include "net/socket.hpp"
-#include "sim/event_queue.hpp"
-#include "sim/group.hpp"
-#include "sim/metrics.hpp"
+#include "sim/async_engine.hpp"
 #include "sim/runtime.hpp"
-#include "sim/simulator.hpp"
 
 namespace deproto::net {
 
@@ -95,53 +91,23 @@ struct NetStats {
   }
 };
 
-class NetSimulator final : public sim::Simulator {
+class NetSimulator final : public sim::AsyncEngine {
  public:
   /// Socket-per-node puts a hard ceiling on N (fd budget and poll cost);
   /// gigascale runs belong on the count backend.
   static constexpr std::size_t kMaxNodes = 1024;
+  /// Probe, ProbeReply, and Push datagrams carry a state in one byte.
+  static constexpr std::size_t kMaxStates = 256;
 
   /// Binds n loopback sockets immediately. Throws std::invalid_argument
-  /// for n outside [2, kMaxNodes] or bad options; std::system_error when
-  /// the kernel refuses a socket.
+  /// for n outside [2, kMaxNodes], a machine with more than kMaxStates
+  /// states, or bad options; std::system_error when the kernel refuses a
+  /// socket.
   NetSimulator(std::size_t n, core::ProtocolStateMachine machine,
                std::uint64_t seed, NetSimOptions options = {});
 
-  [[nodiscard]] sim::Group& group() noexcept override { return group_; }
-  [[nodiscard]] sim::MetricsCollector& metrics() noexcept override {
-    return metrics_;
-  }
-  [[nodiscard]] sim::Rng& rng() noexcept override { return rng_; }
-  [[nodiscard]] double now() const noexcept override { return queue_.now(); }
-  [[nodiscard]] std::size_t num_states() const noexcept override {
-    return group_.num_states();
-  }
-  [[nodiscard]] std::size_t count(std::size_t state) const override {
-    return group_.count(state);
-  }
-  [[nodiscard]] std::size_t total_alive() const noexcept override {
-    return group_.total_alive();
-  }
-
-  void seed_states(const std::vector<std::size_t>& counts) override;
-  void schedule_massive_failure(double time, double fraction) override;
-  void schedule_crash(sim::ProcessId pid, double time,
-                      double recover_time = -1.0) override;
-  void set_crash_recovery(double crash_prob,
-                          double mean_downtime_periods) override;
-  void attach_churn(const sim::ChurnTrace& trace,
-                    double periods_per_hour) override;
-
-  /// Advance sim time by `periods`, paced against the wall clock;
-  /// metrics sample each whole period (including t = 0, like the event
-  /// backend).
-  void run_for(double periods) override;
-
   /// Measured network behavior so far (per-node trackers aggregated).
   [[nodiscard]] NetStats net_stats() const;
-  [[nodiscard]] const sim::TokenStats& token_stats() const noexcept {
-    return tokens_;
-  }
 
   /// The UDP port node `pid` is currently bound to (0 while crashed).
   [[nodiscard]] std::uint16_t port_of(sim::ProcessId pid) const;
@@ -160,21 +126,14 @@ class NetSimulator final : public sim::Simulator {
  private:
   using Clock = std::chrono::steady_clock;
 
-  struct ProbeContext {
-    std::vector<std::optional<std::size_t>> states;
-    std::size_t remaining = 0;
-    std::function<void(const std::vector<std::optional<std::size_t>>&)> done;
-  };
   struct PendingProbe {
-    std::shared_ptr<ProbeContext> ctx;
+    Probe probe;
     Clock::time_point sent_at;
   };
   struct Node {
     UdpSocket socket;
     std::uint16_t home_port = 0;  // preferred rebind port after recovery
     std::uint64_t next_seq = 1;
-    double period = 1.0;  // in sim periods (drift factor applied)
-    std::uint64_t timer_epoch = 0;
     std::uint64_t incarnation = 0;  // bumped per rejoin; stale acks no-op
     bool active = true;             // period timer armed (false mid-join)
     SequenceTracker tracker;
@@ -185,61 +144,40 @@ class NetSimulator final : public sim::Simulator {
     std::function<void()> on_readable;
   };
 
+  // The channel seam (see sim/async_engine.hpp).
+  void send_probe(sim::ProcessId from, sim::ProcessId to,
+                  const Probe& probe) override;
+  void send_push(sim::ProcessId from, sim::ProcessId to,
+                 const core::PushAction& push) override;
+  bool send_token(sim::ProcessId from, sim::ProcessId to,
+                  const Token& token) override;
+  void node_down(sim::ProcessId pid, bool graceful) override;
+  bool node_up(sim::ProcessId pid) override;
+  void start_run() override;
+  void advance_to(double t_end) override;
+
   [[nodiscard]] double sim_of(Clock::time_point wall) const;
   [[nodiscard]] Clock::time_point wall_of(double sim_time) const;
 
-  void run_until(double t_end);
-  void advance_to(double t_end);
   void poll_and_drain(Clock::time_point deadline);
   void drain_node(sim::ProcessId pid);
   void handle_packet(sim::ProcessId pid, const Packet& packet,
                      const sockaddr_in& from);
 
-  bool emulated_drop();
   /// Stamp sender/seq and send `packet` from node `from` to `dest`.
   /// False when the datagram did not reach the kernel (emulated drop or
-  /// send error) -- callers that track tokens count the drop.
+  /// send error).
   bool send_packet(sim::ProcessId from, const sockaddr_in& dest,
                    Packet packet);
-
-  void arm_timer(sim::ProcessId pid);
-  void on_tick(sim::ProcessId pid, std::uint64_t epoch);
-  void run_action(sim::ProcessId pid, std::size_t action_index);
-  void probe_all(
-      sim::ProcessId pid, std::size_t count,
-      std::function<void(const std::vector<std::optional<std::size_t>>&)>
-          done);
-  void resolve_probe(const std::shared_ptr<ProbeContext>& ctx,
-                     std::optional<std::size_t> state);
-  void route_token(sim::ProcessId pid, std::size_t token_state,
-                   std::size_t to_state);
-
-  void crash_process(sim::ProcessId pid);
-  void note_mass_crashed(sim::ProcessId pid);
-  void graceful_leave(sim::ProcessId pid);
-  void recover_process(sim::ProcessId pid);
   void begin_join(sim::ProcessId pid, unsigned tries_left);
-  void on_crash_recovery_tick(std::uint64_t epoch);
-  void sample_metrics();
   void record_rtt(Clock::time_point sent_at);
 
-  core::ProtocolStateMachine machine_;
   NetSimOptions options_;
-  sim::EventQueue queue_;  // sim-time events, paced by the wall clock
-  sim::Rng rng_;
-  sim::Group group_;
-  sim::MetricsCollector metrics_;
   std::vector<Node> nodes_;
   std::vector<sockaddr_in> addr_;  // current endpoint per node
   std::vector<WatchedFd> watched_;
-  sim::TokenStats tokens_;
   NetStats stats_;  // tracker-independent counters (see net_stats())
   std::uint64_t next_probe_id_ = 1;
-  double crash_prob_ = 0.0;
-  double mean_downtime_ = 0.0;
-  std::uint64_t churn_epoch_ = 0;
-  std::uint64_t recovery_epoch_ = 0;
-  double next_sample_ = 0.0;
   Clock::time_point anchor_wall_;  // wall <-> sim mapping, reset per run
   double anchor_sim_ = 0.0;
 };

@@ -99,24 +99,6 @@ std::string encode_packet(const Packet& packet) {
   return out;
 }
 
-const char* decode_status_name(DecodeStatus status) {
-  switch (status) {
-    case DecodeStatus::Ok:
-      return "ok";
-    case DecodeStatus::Truncated:
-      return "truncated";
-    case DecodeStatus::BadMagic:
-      return "bad-magic";
-    case DecodeStatus::BadVersion:
-      return "bad-version";
-    case DecodeStatus::BadType:
-      return "bad-type";
-    case DecodeStatus::BadLength:
-      return "bad-length";
-  }
-  return "unknown";
-}
-
 DecodeStatus decode_packet(const char* data, std::size_t n, Packet* out) {
   if (n < kPacketSize) return DecodeStatus::Truncated;
   if (std::memcmp(data, kPacketMagic, sizeof(kPacketMagic)) != 0) {

@@ -105,8 +105,6 @@ enum class DecodeStatus {
   BadLength,   ///< trailing bytes after the fixed layout
 };
 
-[[nodiscard]] const char* decode_status_name(DecodeStatus status);
-
 /// Validate and decode one datagram. On any status but Ok, *out is left
 /// untouched; the caller counts the rejection and drops the datagram.
 [[nodiscard]] DecodeStatus decode_packet(const char* data, std::size_t n,

@@ -4,17 +4,6 @@
 
 namespace deproto::num {
 
-SymbolicJacobian symbolic_jacobian(const ode::EquationSystem& sys) {
-  const std::size_t m = sys.num_vars();
-  SymbolicJacobian jac(m, std::vector<ode::Polynomial>(m));
-  for (std::size_t i = 0; i < m; ++i) {
-    for (std::size_t j = 0; j < m; ++j) {
-      jac[i][j] = ode::derivative(sys.rhs(i), j);
-    }
-  }
-  return jac;
-}
-
 Matrix jacobian_at(const ode::EquationSystem& sys, const Vec& x) {
   const std::size_t m = sys.num_vars();
   if (x.size() < m) {

@@ -1,21 +1,13 @@
 #pragma once
 
-// Exact (symbolic) Jacobians of polynomial equation systems, plus numeric
-// evaluation at a point. Polynomial right-hand sides differentiate exactly,
-// so no finite differencing is needed anywhere in the analysis pipeline.
-
-#include <vector>
+// Jacobians of polynomial equation systems evaluated at a point.
+// Polynomial right-hand sides differentiate exactly, so no finite
+// differencing is needed anywhere in the analysis pipeline.
 
 #include "numerics/matrix.hpp"
 #include "ode/equation_system.hpp"
 
 namespace deproto::num {
-
-/// Grid of polynomials J[i][j] = d f_i / d x_j.
-using SymbolicJacobian = std::vector<std::vector<ode::Polynomial>>;
-
-[[nodiscard]] SymbolicJacobian symbolic_jacobian(
-    const ode::EquationSystem& sys);
 
 /// Evaluate the Jacobian of `sys` at point `x`.
 [[nodiscard]] Matrix jacobian_at(const ode::EquationSystem& sys,

@@ -14,8 +14,8 @@ namespace deproto::sim {
 
 namespace {
 
-/// Raw machines rejoin in state 0 (EventSimulator::rejoin_state() for
-/// machine mode); revived processes enter here.
+/// Raw machines rejoin in state 0 (as on the async engine in machine
+/// mode); revived processes enter here.
 constexpr std::size_t kRejoinState = 0;
 
 /// Probes the per-node executors charge for one attempt of `action`:
@@ -68,40 +68,24 @@ void CountSimulator::seed_states(const std::vector<std::size_t>& counts) {
 }
 
 void CountSimulator::schedule_massive_failure(double time, double fraction) {
-  fault_plan::validate_failure_fraction(fraction);
-  failures_.push_back(PendingFailure{MassiveFailure{time, fraction}, false});
+  faults_.add_massive_failure(time, fraction);
 }
 
 void CountSimulator::schedule_crash(ProcessId pid, double time,
                                     double recover_time) {
-  // Same scheduling machinery as the sync backend; the host id only
-  // bounds-checks at apply time (the victim is anonymous).
-  crashes_.push_back(ChurnEvent{time, pid, false});
-  if (recover_time >= 0.0) {
-    crashes_.push_back(ChurnEvent{recover_time, pid, true});
-  }
-  std::stable_sort(
-      crashes_.begin() + static_cast<std::ptrdiff_t>(crashes_next_),
-      crashes_.end(), [](const ChurnEvent& a, const ChurnEvent& b) {
-        return a.time_hours < b.time_hours;
-      });
+  // The host id only bounds-checks at apply time (the victim is
+  // anonymous).
+  faults_.add_crash(pid, time, recover_time);
 }
 
 void CountSimulator::set_crash_recovery(double crash_prob,
                                         double mean_downtime_periods) {
-  fault_plan::validate_crash_recovery(crash_prob, mean_downtime_periods);
-  crash_prob_ = crash_prob;
-  mean_downtime_ = mean_downtime_periods;
+  faults_.set_crash_recovery(crash_prob, mean_downtime_periods);
 }
 
 void CountSimulator::attach_churn(const ChurnTrace& trace,
                                   double periods_per_hour) {
-  churn_ = fault_plan::trace_in_periods(trace, periods_per_hour);
-  churn_next_ = 0;
-  std::sort(churn_.begin(), churn_.end(),
-            [](const ChurnEvent& a, const ChurnEvent& b) {
-              return a.time_hours < b.time_hours;
-            });
+  faults_.attach_churn(trace, periods_per_hour);
 }
 
 void CountSimulator::remove_random_alive(std::size_t victims) {
@@ -143,21 +127,17 @@ void CountSimulator::crash_one_random() {
   }
 }
 
-void CountSimulator::apply_anonymous_events(
-    const std::vector<ChurnEvent>& events, std::size_t& next, double until) {
-  while (next < events.size() && events[next].time_hours <= until) {
-    const ChurnEvent& e = events[next++];
-    if (e.host >= n_) continue;
-    if (!e.up) {
-      if (alive_ > 0) {
-        crash_one_random();
-        ++churn_down_;
-      }
-    } else if (churn_down_ > 0) {
-      --churn_down_;
-      ++counts_[kRejoinState];
-      ++alive_;
+void CountSimulator::apply_anonymous_event(const ChurnEvent& e) {
+  if (e.host >= n_) return;
+  if (!e.up) {
+    if (alive_ > 0) {
+      crash_one_random();
+      ++churn_down_;
     }
+  } else if (churn_down_ > 0) {
+    --churn_down_;
+    ++counts_[kRejoinState];
+    ++alive_;
   }
 }
 
@@ -309,19 +289,14 @@ void CountSimulator::run(std::size_t periods) {
   for (std::size_t k = 0; k < periods; ++k) {
     const auto t = static_cast<double>(period_);
 
-    // Scheduled massive failures at the period start (due once time <= t,
-    // like the sync backend's quantization).
-    for (PendingFailure& pending : failures_) {
-      if (pending.applied || pending.failure.time > t) continue;
-      pending.applied = true;
-      remove_random_alive(
-          fault_plan::failure_victims(pending.failure.fraction, alive_));
-    }
-
-    // Targeted crashes quantize to the period start; churn keeps its
-    // covering-period window (events inside [t, t+1) act this period).
-    apply_anonymous_events(crashes_, crashes_next_, t);
-    apply_anonymous_events(churn_, churn_next_, t + 1.0);
+    // Scheduled faults at the period start, on the sync backend's due
+    // windows (fault_plan::RoundSchedule::play).
+    faults_.play(
+        t,
+        [this](double fraction) {
+          remove_random_alive(fault_plan::failure_victims(fraction, alive_));
+        },
+        [this](const ChurnEvent& e) { apply_anonymous_event(e); });
 
     // Crash-recovery revivals due at this boundary.
     while (!recoveries_.empty() && recoveries_.begin()->first <= period_) {
@@ -330,14 +305,14 @@ void CountSimulator::run(std::size_t periods) {
       counts_[kRejoinState] += back;
       alive_ += back;
     }
-    if (crash_prob_ > 0.0) {
-      const auto crashes =
-          static_cast<std::size_t>(rng_.binomial(alive_, crash_prob_));
+    if (faults_.crash_prob() > 0.0) {
+      const auto crashes = static_cast<std::size_t>(
+          rng_.binomial(alive_, faults_.crash_prob()));
       remove_random_alive(crashes);
-      if (mean_downtime_ > 0.0) {
+      if (faults_.mean_downtime() > 0.0) {
         for (std::size_t i = 0; i < crashes; ++i) {
           const std::size_t due = fault_plan::first_period_at_or_after(
-              t + fault_plan::recovery_delay(rng_, mean_downtime_));
+              t + fault_plan::recovery_delay(rng_, faults_.mean_downtime()));
           ++recoveries_[due];
         }
       }

@@ -36,6 +36,7 @@
 
 #include "core/state_machine.hpp"
 #include "sim/churn.hpp"
+#include "sim/fault_plan.hpp"
 #include "sim/metrics.hpp"
 #include "sim/rng.hpp"
 #include "sim/runtime.hpp"
@@ -121,8 +122,8 @@ class CountSimulator final : public Simulator {
   void remove_random_alive(std::size_t victims);
   /// Crash one uniformly random alive process (categorical by counts).
   void crash_one_random();
-  void apply_anonymous_events(const std::vector<ChurnEvent>& events,
-                              std::size_t& next, double until);
+  /// A due targeted or churn event: an anonymous departure or revival.
+  void apply_anonymous_event(const ChurnEvent& e);
   void execute_period(double t);
 
   core::ProtocolStateMachine machine_;
@@ -134,20 +135,10 @@ class CountSimulator final : public Simulator {
   std::size_t alive_;
   std::size_t period_ = 0;
 
-  struct PendingFailure {
-    MassiveFailure failure;
-    bool applied = false;
-  };
-  std::vector<PendingFailure> failures_;
-  std::vector<ChurnEvent> churn_;    // in periods, sorted
-  std::size_t churn_next_ = 0;
-  std::vector<ChurnEvent> crashes_;  // schedule_crash events, in periods
-  std::size_t crashes_next_ = 0;
+  fault_plan::RoundSchedule faults_;
   /// Processes taken down by churn/targeted events and not yet revived:
   /// an "up" event revives one of them (anonymously) when nonzero.
   std::size_t churn_down_ = 0;
-  double crash_prob_ = 0.0;
-  double mean_downtime_ = 0.0;
   /// Crash-recovery revivals bucketed by the period boundary where the
   /// sync backend would notice them: period -> processes due back.
   std::map<std::size_t, std::size_t> recoveries_;

@@ -1,11 +1,12 @@
 #pragma once
 
-// Fully asynchronous execution backend. In machine mode each process runs
-// its own protocol-period timer (arbitrary phase, bounded drift -- the
-// paper's clock model), sampling probes are real request/response message
-// pairs over the unreliable network, and decisions are taken when the last
-// response (or loss surrogate) arrives. This validates that the protocols
-// need no global clock, synchronization, or agreement.
+// Fully asynchronous execution backend: the shared AsyncEngine over a
+// modelled network. In machine mode each process runs its own
+// protocol-period timer (arbitrary phase, bounded drift -- the paper's
+// clock model), sampling probes are request/response message pairs over
+// sim::Network's random latency and loss, and decisions are taken when the
+// last response (or loss surrogate) arrives. This validates that the
+// protocols need no global clock, synchronization, or agreement.
 //
 // A second constructor accepts any hand-written PeriodicProtocol and drives
 // it from a (drifting, arbitrary-phase) period timer, so the paper's case
@@ -16,18 +17,12 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
-#include <optional>
-#include <vector>
 
 #include "core/state_machine.hpp"
-#include "sim/event_queue.hpp"
-#include "sim/group.hpp"
-#include "sim/metrics.hpp"
+#include "sim/async_engine.hpp"
 #include "sim/network.hpp"
 #include "sim/protocol.hpp"
 #include "sim/runtime.hpp"
-#include "sim/simulator.hpp"
 
 namespace deproto::sim {
 
@@ -41,7 +36,7 @@ struct EventSimOptions {
   TokenRouting tokens;
 };
 
-class EventSimulator final : public Simulator {
+class EventSimulator final : public AsyncEngine {
  public:
   /// Machine mode: interpret a synthesized state machine, one independent
   /// timer per process.
@@ -55,82 +50,19 @@ class EventSimulator final : public Simulator {
   EventSimulator(std::size_t n, PeriodicProtocol& protocol,
                  std::uint64_t seed, EventSimOptions options = {});
 
-  [[nodiscard]] Group& group() noexcept override { return group_; }
-  [[nodiscard]] const Group& group() const noexcept { return group_; }
-  [[nodiscard]] MetricsCollector& metrics() noexcept override {
-    return metrics_;
-  }
-  [[nodiscard]] Rng& rng() noexcept override { return rng_; }
-  [[nodiscard]] std::size_t num_states() const noexcept override {
-    return group_.num_states();
-  }
-  [[nodiscard]] std::size_t count(std::size_t state) const override {
-    return group_.count(state);
-  }
-  [[nodiscard]] std::size_t total_alive() const noexcept override {
-    return group_.total_alive();
-  }
   [[nodiscard]] const Network& network() const noexcept { return network_; }
-  [[nodiscard]] double now() const noexcept override { return queue_.now(); }
-
-  void schedule_massive_failure(double time, double fraction) override;
-  /// Crash one process at `time`; if `recover_time` >= 0, revive it then
-  /// into the protocol's rejoin_state() (state 0 for raw machines).
-  void schedule_crash(ProcessId pid, double time,
-                      double recover_time = -1.0) override;
-  void set_crash_recovery(double crash_prob,
-                          double mean_downtime_periods) override;
-  void attach_churn(const ChurnTrace& trace, double periods_per_hour) override;
-
-  /// Run until absolute time `t_end` (periods); metrics sample each unit.
-  void run_until(double t_end);
-
-  /// Simulator interface: run_until(now() + periods).
-  void run_for(double periods) override;
-
-  void seed_states(const std::vector<std::size_t>& counts) override;
 
  private:
-  EventSimulator(std::size_t n, std::optional<core::ProtocolStateMachine> mac,
-                 PeriodicProtocol* protocol, std::uint64_t seed,
-                 EventSimOptions options);
+  void send_probe(ProcessId from, ProcessId to, const Probe& probe) override;
+  void send_push(ProcessId from, ProcessId to,
+                 const core::PushAction& push) override;
+  bool send_token(ProcessId from, ProcessId to, const Token& token) override;
+  /// Modelled processes hold no channel state: a crashed target is simply
+  /// one that no longer answers.
+  void node_down(ProcessId /*pid*/, bool /*graceful*/) override {}
+  bool node_up(ProcessId /*pid*/) override { return true; }
 
-  [[nodiscard]] std::size_t rejoin_state() const {
-    return protocol_ != nullptr ? protocol_->rejoin_state() : 0;
-  }
-  void crash_process(ProcessId pid);
-  void note_mass_crashed(ProcessId pid);
-  void recover_process(ProcessId pid);
-  void arm_timer(ProcessId pid);
-  void on_tick(ProcessId pid, std::uint64_t epoch);
-  void on_driver_tick();
-  void on_crash_recovery_tick(std::uint64_t epoch);
-  void run_action(ProcessId pid, std::size_t action_index);
-  void route_token_directory(std::size_t token_state, std::size_t to_state);
-  void route_token_walk(std::size_t token_state, std::size_t to_state,
-                        unsigned ttl_left);
-  void sample_metrics();
-
-  std::optional<core::ProtocolStateMachine> machine_;  // machine mode
-  PeriodicProtocol* protocol_ = nullptr;               // driver mode
-  EventSimOptions options_;
-  EventQueue queue_;
-  Rng rng_;
-  Group group_;
   Network network_;
-  MetricsCollector metrics_;
-  std::vector<double> period_of_;  // per-process period length
-  // Guards against stale timers: bumped on every crash, so a tick armed
-  // before the crash is ignored even if the process recovered meanwhile.
-  std::vector<std::uint64_t> timer_epoch_;
-  double driver_period_ = 1.0;     // driver mode period length
-  double crash_prob_ = 0.0;        // background crash-recovery, per period
-  double mean_downtime_ = 0.0;     // 0 = crash-stop
-  // Bumped by attach_churn: queued events from a replaced trace no-op.
-  std::uint64_t churn_epoch_ = 0;
-  // Bumped by set_crash_recovery: a superseded tick chain no-ops.
-  std::uint64_t recovery_epoch_ = 0;
-  double next_sample_ = 0.0;
 };
 
 }  // namespace deproto::sim

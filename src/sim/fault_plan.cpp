@@ -54,4 +54,43 @@ std::size_t first_period_at_or_after(double time) {
   return static_cast<std::size_t>(std::ceil(time));
 }
 
+void RoundSchedule::add_massive_failure(double time, double fraction) {
+  validate_failure_fraction(fraction);
+  failures_.push_back(PendingFailure{MassiveFailure{time, fraction}, false});
+}
+
+void RoundSchedule::add_crash(ProcessId pid, double time,
+                              double recover_time) {
+  // A targeted crash is a one-host departure (plus optional rejoin),
+  // already expressed in periods.
+  crashes_.push_back(ChurnEvent{time, pid, false});
+  if (recover_time >= 0.0) {
+    crashes_.push_back(ChurnEvent{recover_time, pid, true});
+  }
+  // Stable: equal-time events keep scheduling order (crash before its own
+  // recovery), matching the event queue's FIFO tie-breaking.
+  std::stable_sort(
+      crashes_.begin() + static_cast<std::ptrdiff_t>(crashes_next_),
+      crashes_.end(), [](const ChurnEvent& a, const ChurnEvent& b) {
+        return a.time_hours < b.time_hours;
+      });
+}
+
+void RoundSchedule::attach_churn(const ChurnTrace& trace,
+                                 double periods_per_hour) {
+  churn_ = trace_in_periods(trace, periods_per_hour);
+  churn_next_ = 0;
+  std::sort(churn_.begin(), churn_.end(),
+            [](const ChurnEvent& a, const ChurnEvent& b) {
+              return a.time_hours < b.time_hours;
+            });
+}
+
+void RoundSchedule::set_crash_recovery(double crash_prob,
+                                       double mean_downtime_periods) {
+  validate_crash_recovery(crash_prob, mean_downtime_periods);
+  crash_prob_ = crash_prob;
+  mean_downtime_ = mean_downtime_periods;
+}
+
 }  // namespace deproto::sim::fault_plan

@@ -15,7 +15,7 @@ Network::Network(EventQueue& queue, Rng& rng, NetworkOptions options)
   }
 }
 
-void Network::send(std::function<void()> on_deliver,
+bool Network::send(std::function<void()> on_deliver,
                    std::function<void()> on_lost) {
   ++sent_;
   const double latency =
@@ -23,9 +23,10 @@ void Network::send(std::function<void()> on_deliver,
   if (options_.loss > 0.0 && rng_.bernoulli(options_.loss)) {
     ++dropped_;
     if (on_lost) queue_.schedule_in(latency, std::move(on_lost));
-    return;
+    return false;
   }
   queue_.schedule_in(latency, std::move(on_deliver));
+  return true;
 }
 
 }  // namespace deproto::sim

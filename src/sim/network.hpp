@@ -25,7 +25,8 @@ class Network {
   /// Send a message: `on_deliver` runs after a random latency unless the
   /// message is dropped, in which case `on_lost` (if provided) runs at the
   /// same moment the delivery would have happened (a timeout surrogate).
-  void send(std::function<void()> on_deliver,
+  /// Returns false when the message is dropped.
+  bool send(std::function<void()> on_deliver,
             std::function<void()> on_lost = nullptr);
 
   [[nodiscard]] std::uint64_t sent() const noexcept { return sent_; }

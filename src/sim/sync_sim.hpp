@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "sim/churn.hpp"
+#include "sim/fault_plan.hpp"
 #include "sim/metrics.hpp"
 #include "sim/protocol.hpp"
 #include "sim/simulator.hpp"
@@ -73,25 +74,15 @@ class SyncSimulator final : public Simulator {
   void seed_states(const std::vector<std::size_t>& counts) override;
 
  private:
-  void apply_churn_until(std::vector<ChurnEvent>& events, std::size_t& next,
-                         double period_time);
+  /// A due targeted or churn event: crash or revive that very process.
+  void apply_event(const ChurnEvent& e);
 
   Group group_;
   PeriodicProtocol& protocol_;
   Rng rng_;
   MetricsCollector metrics_;
   std::size_t period_ = 0;
-  struct PendingFailure {
-    MassiveFailure failure;
-    bool applied = false;
-  };
-  std::vector<PendingFailure> failures_;
-  std::vector<ChurnEvent> churn_;    // in periods, sorted
-  std::size_t churn_next_ = 0;
-  std::vector<ChurnEvent> crashes_;  // schedule_crash events, in periods
-  std::size_t crashes_next_ = 0;
-  double crash_prob_ = 0.0;
-  double mean_downtime_ = 0.0;
+  fault_plan::RoundSchedule faults_;
   // Min-heap of (recovery period, pid) for crash-recovery failures.
   std::priority_queue<std::pair<double, ProcessId>,
                       std::vector<std::pair<double, ProcessId>>,

@@ -232,6 +232,27 @@ TEST(VerifierTest, NetBackendPopulationCapIsAnError) {
       << "the default 0.5-period probe timeout is under one period";
 }
 
+TEST(VerifierTest, NetBackendStateCapIsAnError) {
+  // A 257-state ring of flips: one state more than a datagram's state byte
+  // can name.
+  std::string ring;
+  for (int i = 0; i < 257; ++i) {
+    ring += "s" + std::to_string(i) + "' = -s" + std::to_string(i) + " + s" +
+            std::to_string((i + 256) % 257) + "\n";
+  }
+  ScenarioSpec spec;
+  spec.name = "test-wide-ring";
+  spec.source.ode_text = ring;
+  spec.backend = deproto::api::Backend::Net;
+  spec.n = 64;
+  spec.periods = 10;
+  EXPECT_TRUE(has_rule(deproto::analysis::analyze_spec(spec).findings,
+                       "spec.net-states", Severity::Error));
+  spec.backend = deproto::api::Backend::Event;
+  EXPECT_FALSE(has_rule(deproto::analysis::analyze_spec(spec).findings,
+                        "spec.net-states", Severity::Error));
+}
+
 TEST(VerifierTest, TokenTtlBeyondRunLengthIsAWarning) {
   ScenarioSpec spec = epidemic_spec();
   spec.runtime.tokens.mode =

@@ -5,6 +5,8 @@
 #include <unistd.h>
 
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "core/synthesis.hpp"
 #include "ode/catalog.hpp"
@@ -43,6 +45,27 @@ TEST(NetSimTest, RejectsBadPopulationsAndOptions) {
   bad.message_loss = 1.0;
   EXPECT_THROW(NetSimulator(4, result.machine, 1, bad),
                std::invalid_argument);
+}
+
+TEST(NetSimTest, RejectsMachinesWiderThanTheStateByte) {
+  // Probe, ProbeReply, and Push datagrams carry a state in one byte: a
+  // 257th state would alias state 0 and silently break probe matching.
+  // sim::Group holds at most 255 states, the widest machine that runs.
+  std::vector<std::string> names;
+  for (std::size_t s = 0; s < 255; ++s) {
+    names.push_back("s" + std::to_string(s));
+  }
+  EXPECT_NO_THROW(NetSimulator(2, core::ProtocolStateMachine(names), 1));
+  while (names.size() <= NetSimulator::kMaxStates) {
+    names.push_back("s" + std::to_string(names.size()));
+  }
+  try {
+    NetSimulator(2, core::ProtocolStateMachine(names), 1);
+    ADD_FAILURE() << "a 257-state machine was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("one-byte"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(NetSimTest, EpidemicOverRealSocketsInfectsEveryone) {

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <vector>
 
 namespace deproto::sim::fault_plan {
 namespace {
@@ -84,6 +85,57 @@ TEST(FaultPlanTest, FirstPeriodAtOrAfterCeilsAndClampsNegative) {
   EXPECT_EQ(first_period_at_or_after(0.0), 0U);
   EXPECT_EQ(first_period_at_or_after(2.0), 2U);
   EXPECT_EQ(first_period_at_or_after(2.25), 3U);
+}
+
+TEST(FaultPlanTest, RoundSchedulePlaysEachEventOnceInItsWindow) {
+  RoundSchedule schedule;
+  schedule.add_massive_failure(2.0, 0.5);
+  schedule.add_massive_failure(0.5, 0.25);  // due at the next boundary
+  schedule.add_crash(7, 1.5, /*recover_time=*/1.5);
+  schedule.attach_churn(ChurnTrace::from_events({ChurnEvent{0.25, 3, false},
+                                                 ChurnEvent{0.05, 4, false}}),
+                        10.0);  // periods 2.5 and 0.5
+  std::vector<double> failures;
+  std::vector<ChurnEvent> events;
+  const auto play = [&](double t) {
+    failures.clear();
+    events.clear();
+    schedule.play(
+        t, [&](double fraction) { failures.push_back(fraction); },
+        [&](const ChurnEvent& e) { events.push_back(e); });
+  };
+
+  play(0.0);  // churn covers [0, 1); crashes and failures need time <= 0
+  EXPECT_TRUE(failures.empty());
+  ASSERT_EQ(events.size(), 1U);
+  EXPECT_EQ(events[0].host, 4U);
+
+  play(1.0);
+  EXPECT_EQ(failures, std::vector<double>{0.25});
+  EXPECT_TRUE(events.empty());
+
+  play(2.0);  // the crash and its same-time recovery, then churn in [2, 3)
+  EXPECT_EQ(failures, std::vector<double>{0.5});
+  ASSERT_EQ(events.size(), 3U);
+  EXPECT_FALSE(events[0].up);
+  EXPECT_TRUE(events[1].up);
+  EXPECT_EQ(events[2].host, 3U);
+
+  play(3.0);
+  EXPECT_TRUE(failures.empty());
+  EXPECT_TRUE(events.empty());
+}
+
+TEST(FaultPlanTest, RoundScheduleValidatesLikeTheHelpers) {
+  RoundSchedule schedule;
+  EXPECT_THROW(schedule.add_massive_failure(1.0, 1.5), std::invalid_argument);
+  EXPECT_THROW(schedule.set_crash_recovery(0.5, -1.0),
+               std::invalid_argument);
+  EXPECT_THROW(schedule.attach_churn(ChurnTrace{}, 0.0),
+               std::invalid_argument);
+  schedule.set_crash_recovery(0.1, 4.0);
+  EXPECT_DOUBLE_EQ(schedule.crash_prob(), 0.1);
+  EXPECT_DOUBLE_EQ(schedule.mean_downtime(), 4.0);
 }
 
 }  // namespace
