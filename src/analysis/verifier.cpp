@@ -9,6 +9,7 @@
 
 #include "core/synthesis.hpp"
 #include "net/net_sim.hpp"
+#include "sim/group.hpp"
 
 namespace deproto::analysis {
 
@@ -118,13 +119,15 @@ Report analyze_spec(const api::ScenarioSpec& spec,
       }
     }
     const std::size_t states = synthesis->machine.num_states();
-    if (api::resolve_backend(spec.backend, spec.n) == api::Backend::Net &&
-        states > net::NetSimulator::kMaxStates) {
+    const api::Backend backend = api::resolve_backend(spec.backend, spec.n);
+    if (backend != api::Backend::Count && states > sim::Group::kMaxStates) {
       report.findings.push_back(
-          {Severity::Error, "spec.net-states", "source",
-           "net backend datagrams carry a state in one byte, so at most " +
-               std::to_string(net::NetSimulator::kMaxStates) +
-               " states fit; the machine has " + std::to_string(states),
+          {Severity::Error, "spec.node-states", "source",
+           std::string(api::backend_name(backend)) +
+               " backend keeps one byte of state per process, so at most " +
+               std::to_string(sim::Group::kMaxStates) +
+               " states fit; the machine has " + std::to_string(states) +
+               " (the count backend has no such cap)",
            static_cast<double>(states)});
     }
     std::vector<Finding> more = analyze_machine(

@@ -32,13 +32,6 @@ core::ProtocolStateMachine checked(core::ProtocolStateMachine machine,
         "] (socket per node; larger populations belong on the count "
         "backend)");
   }
-  if (machine.num_states() > NetSimulator::kMaxStates) {
-    throw std::invalid_argument(
-        "NetSimulator: " + std::to_string(machine.num_states()) +
-        " states do not fit the one-byte state field of a datagram (at "
-        "most " +
-        std::to_string(NetSimulator::kMaxStates) + ")");
-  }
   if (!(options.period_ms > 0.0)) {
     throw std::invalid_argument("NetSimulator: period_ms must be positive");
   }
@@ -108,13 +101,13 @@ void NetSimulator::advance_to(double t_end) {
     // unread in the kernel buffers. Expiring those probes before reading
     // the buffers would turn a CPU hiccup into fake total loss.
     while (events.next_time() <= reach) {
-      events.run_until(events.next_time());
+      run_events_until(events.next_time());
       poll_and_drain(Clock::now());
       reach = std::min(sim_of(Clock::now()), t_end);
     }
-    if (reach > events.now()) events.run_until(reach);
+    if (reach > events.now()) run_events_until(reach);
     if (reach >= t_end) {
-      events.run_until(t_end);
+      run_events_until(t_end);
       return;
     }
     const double next_t = std::min(events.next_time(), t_end);
@@ -196,7 +189,7 @@ void NetSimulator::handle_packet(sim::ProcessId pid, const Packet& packet,
       const auto it = node.pending.find(packet.tag);
       if (it == node.pending.end()) return;  // timed out or stale ack
       record_rtt(it->second.sent_at);
-      const Probe probe = std::move(it->second.probe);
+      const ProbeSlot probe = it->second.probe;
       node.pending.erase(it);
       resolve_probe(probe, static_cast<std::size_t>(packet.state));
       return;
@@ -263,7 +256,7 @@ void NetSimulator::record_rtt(Clock::time_point sent_at) {
 // The channel seam: messages as datagrams.
 
 void NetSimulator::send_probe(sim::ProcessId from, sim::ProcessId to,
-                              const Probe& probe) {
+                              ProbeSlot probe) {
   const std::uint64_t probe_id = next_probe_id_++;
   ++stats_.probes_sent;
   nodes_[from].pending.emplace(probe_id, PendingProbe{probe, Clock::now()});
@@ -275,19 +268,37 @@ void NetSimulator::send_probe(sim::ProcessId from, sim::ProcessId to,
   // The loss surrogate: if no reply claimed this probe id by the
   // deadline, it resolves as lost -- whether the request leg, the reply
   // leg, a crashed target, or an emulated drop ate it.
-  queue().schedule_in(options_.probe_timeout, [this, from, probe_id] {
-    Node& owner = nodes_[from];
-    const auto it = owner.pending.find(probe_id);
-    if (it == owner.pending.end()) return;
-    const Probe expired = std::move(it->second.probe);
-    owner.pending.erase(it);
-    ++stats_.probe_timeouts;
-    resolve_probe(expired, std::nullopt);
-  });
+  queue().schedule_in(options_.probe_timeout, kProbeTimeout, from, probe_id);
+}
+
+void NetSimulator::on_transport_event(const sim::Event& event) {
+  switch (event.kind) {
+    case kProbeTimeout: {
+      Node& owner = nodes_[event.a];
+      const auto it = owner.pending.find(event.b);
+      if (it == owner.pending.end()) return;  // answered in time
+      const ProbeSlot expired = it->second.probe;
+      owner.pending.erase(it);
+      ++stats_.probe_timeouts;
+      resolve_probe(expired, std::nullopt);
+      return;
+    }
+    case kJoinRetry: {
+      const Node& joining = nodes_[event.a];
+      if (joining.active || joining.incarnation != event.b) {
+        return;  // acked, or superseded by a rejoin
+      }
+      begin_join(event.a, joining.join_tries_left - 1);
+      return;
+    }
+    default:
+      throw std::logic_error("NetSimulator: unknown event kind");
+  }
 }
 
 void NetSimulator::send_push(sim::ProcessId from, sim::ProcessId to,
-                             const core::PushAction& push) {
+                             std::size_t action) {
+  const core::PushAction& push = push_action(action);
   Packet packet;
   packet.type = PacketType::Push;
   packet.state = static_cast<std::uint8_t>(group().state_of(from));
@@ -344,6 +355,7 @@ bool NetSimulator::node_up(sim::ProcessId pid) {
 void NetSimulator::begin_join(sim::ProcessId pid, unsigned tries_left) {
   Node& node = nodes_[pid];
   if (!group().alive(pid) || node.active) return;
+  node.join_tries_left = tries_left;
   if (tries_left == 0) {
     // No live peer answered (possibly none exists): activate alone, like
     // the first node of a bootstrapping group.
@@ -357,16 +369,8 @@ void NetSimulator::begin_join(sim::ProcessId pid, unsigned tries_left) {
   for (unsigned k = 0; k < kHandshakeFanout; ++k) {
     send_packet(pid, addr_[group().random_target(pid, rng())], join);
   }
-  const std::uint64_t incarnation = node.incarnation;
-  queue().schedule_in(options_.probe_timeout,
-                      [this, pid, incarnation, tries_left] {
-                        const Node& joining = nodes_[pid];
-                        if (joining.active ||
-                            joining.incarnation != incarnation) {
-                          return;  // acked, or superseded by a rejoin
-                        }
-                        begin_join(pid, tries_left - 1);
-                      });
+  queue().schedule_in(options_.probe_timeout, kJoinRetry, pid,
+                      node.incarnation);
 }
 
 void NetSimulator::kill_node(sim::ProcessId pid) {

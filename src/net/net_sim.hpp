@@ -7,14 +7,15 @@
 // only the channel behind its seam:
 //   send_probe  a Probe datagram; the ProbeReply resolves the probe, and
 //               an unanswered probe resolves as lost after
-//               options.probe_timeout periods, the timeout surrogate a
-//               deployed gossip node would use;
+//               options.probe_timeout periods (a probe-timeout event), the
+//               timeout surrogate a deployed gossip node would use;
 //   send_push   a Push datagram (coin bias in Q32 fixed point);
 //   send_token  a Token datagram, forwarded hop by hop on a random walk;
 //   node_down   the socket closes mid-flight (peers see timeouts, not
 //               errors); a churn departure gossips a Leave first;
 //   node_up     the port is rebound and a Join/JoinAck handshake runs
-//               before the node's period timer starts again;
+//               (retried by a Join-retry event) before the node's period
+//               timer starts again;
 //   advance_to  the event queue is paced against the wall clock
 //               (options.period_ms per protocol period, anchored at
 //               start_run) while incoming datagrams are polled and drained.
@@ -96,13 +97,12 @@ class NetSimulator final : public sim::AsyncEngine {
   /// Socket-per-node puts a hard ceiling on N (fd budget and poll cost);
   /// gigascale runs belong on the count backend.
   static constexpr std::size_t kMaxNodes = 1024;
-  /// Probe, ProbeReply, and Push datagrams carry a state in one byte.
-  static constexpr std::size_t kMaxStates = 256;
 
   /// Binds n loopback sockets immediately. Throws std::invalid_argument
-  /// for n outside [2, kMaxNodes], a machine with more than kMaxStates
-  /// states, or bad options; std::system_error when the kernel refuses a
-  /// socket.
+  /// for n outside [2, kMaxNodes], a machine wider than sim::Group holds
+  /// (Group::kMaxStates, which also keeps every state inside a datagram's
+  /// one-byte state field), or bad options; std::system_error when the
+  /// kernel refuses a socket.
   NetSimulator(std::size_t n, core::ProtocolStateMachine machine,
                std::uint64_t seed, NetSimOptions options = {});
 
@@ -127,7 +127,7 @@ class NetSimulator final : public sim::AsyncEngine {
   using Clock = std::chrono::steady_clock;
 
   struct PendingProbe {
-    Probe probe;
+    ProbeSlot probe = 0;
     Clock::time_point sent_at;
   };
   struct Node {
@@ -135,6 +135,7 @@ class NetSimulator final : public sim::AsyncEngine {
     std::uint16_t home_port = 0;  // preferred rebind port after recovery
     std::uint64_t next_seq = 1;
     std::uint64_t incarnation = 0;  // bumped per rejoin; stale acks no-op
+    unsigned join_tries_left = 0;   // of the current incarnation's Join
     bool active = true;             // period timer armed (false mid-join)
     SequenceTracker tracker;
     std::unordered_map<std::uint64_t, PendingProbe> pending;
@@ -144,15 +145,21 @@ class NetSimulator final : public sim::AsyncEngine {
     std::function<void()> on_readable;
   };
 
+  enum Kind : std::uint32_t {
+    kProbeTimeout = kTransportKind,  // a = sender, b = probe id
+    kJoinRetry,                      // a = joining node, b = incarnation
+  };
+
   // The channel seam (see sim/async_engine.hpp).
   void send_probe(sim::ProcessId from, sim::ProcessId to,
-                  const Probe& probe) override;
+                  ProbeSlot probe) override;
   void send_push(sim::ProcessId from, sim::ProcessId to,
-                 const core::PushAction& push) override;
+                 std::size_t action) override;
   bool send_token(sim::ProcessId from, sim::ProcessId to,
                   const Token& token) override;
   void node_down(sim::ProcessId pid, bool graceful) override;
   bool node_up(sim::ProcessId pid) override;
+  void on_transport_event(const sim::Event& event) override;
   void start_run() override;
   void advance_to(double t_end) override;
 

@@ -1,6 +1,7 @@
 #include "sim/async_engine.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <stdexcept>
 #include <type_traits>
 #include <utility>
@@ -49,8 +50,7 @@ AsyncEngine::AsyncEngine(std::size_t n,
     // Driver mode: one whole-group period per tick of a single drifting,
     // arbitrary-phase timer.
     driver_period_ = rng_.uniform(1.0 - clock_drift, 1.0 + clock_drift);
-    queue_.schedule(rng_.uniform01() * driver_period_,
-                    [this] { on_driver_tick(); });
+    queue_.schedule(rng_.uniform01() * driver_period_, kDriverTick);
     return;
   }
   period_of_.resize(n);
@@ -113,21 +113,20 @@ void AsyncEngine::recover_process(ProcessId pid) {
 }
 
 void AsyncEngine::schedule_massive_failure(double time, double fraction) {
+  fault_plan::validate_fault_time(time);
   fault_plan::validate_failure_fraction(fraction);
-  queue_.schedule(std::max(time, queue_.now()), [this, fraction] {
-    crash_random_alive(
-        fault_plan::failure_victims(fraction, group_.total_alive()));
-  });
+  queue_.schedule(std::max(time, queue_.now()), kMassiveFailure, 0,
+                  std::bit_cast<std::uint64_t>(fraction));
 }
 
 void AsyncEngine::schedule_crash(ProcessId pid, double time,
                                  double recover_time) {
+  fault_plan::validate_fault_time(time);
+  fault_plan::validate_fault_time(recover_time);
   if (pid >= group_.size()) return;  // ignored, like the sync backend
-  queue_.schedule(std::max(time, queue_.now()),
-                  [this, pid] { crash_process(pid); });
+  queue_.schedule(std::max(time, queue_.now()), kCrash, pid);
   if (recover_time >= 0.0) {
-    queue_.schedule(std::max(recover_time, queue_.now()),
-                    [this, pid] { recover_process(pid); });
+    queue_.schedule(std::max(recover_time, queue_.now()), kRecover, pid);
   }
 }
 
@@ -140,9 +139,7 @@ void AsyncEngine::set_crash_recovery(double crash_prob,
   const std::uint64_t epoch = ++recovery_epoch_;
   crash_prob_ = crash_prob;
   mean_downtime_ = mean_downtime_periods;
-  if (crash_prob_ > 0.0) {
-    queue_.schedule_in(1.0, [this, epoch] { on_crash_recovery_tick(epoch); });
-  }
+  if (crash_prob_ > 0.0) queue_.schedule_in(1.0, kCrashRecoveryTick, 0, epoch);
 }
 
 void AsyncEngine::on_crash_recovery_tick(std::uint64_t epoch) {
@@ -156,10 +153,10 @@ void AsyncEngine::on_crash_recovery_tick(std::uint64_t epoch) {
     // does.
     for (ProcessId pid : victims) {
       queue_.schedule_in(fault_plan::recovery_delay(rng_, mean_downtime_),
-                         [this, pid] { recover_process(pid); });
+                         kRecover, pid);
     }
   }
-  queue_.schedule_in(1.0, [this, epoch] { on_crash_recovery_tick(epoch); });
+  queue_.schedule_in(1.0, kCrashRecoveryTick, 0, epoch);
 }
 
 void AsyncEngine::attach_churn(const ChurnTrace& trace,
@@ -171,16 +168,9 @@ void AsyncEngine::attach_churn(const ChurnTrace& trace,
   for (const ChurnEvent& e :
        fault_plan::trace_in_periods(trace, periods_per_hour, queue_.now())) {
     if (e.host >= group_.size()) continue;
-    const ProcessId pid = e.host;
     // time_hours is already converted to periods.
-    queue_.schedule(e.time_hours, [this, pid, epoch, up = e.up] {
-      if (epoch != churn_epoch_) return;
-      if (up) {
-        recover_process(pid);
-      } else {
-        crash_process(pid, /*graceful=*/true);
-      }
-    });
+    queue_.schedule(e.time_hours, kChurn, e.host,
+                    epoch << 1 | static_cast<std::uint64_t>(e.up));
   }
 }
 
@@ -188,9 +178,7 @@ void AsyncEngine::attach_churn(const ChurnTrace& trace,
 // Timers and action semantics.
 
 void AsyncEngine::schedule_tick(ProcessId pid, double delay) {
-  queue_.schedule_in(delay, [this, pid, epoch = timer_epoch_[pid]] {
-    on_tick(pid, epoch);
-  });
+  queue_.schedule_in(delay, kTick, pid, timer_epoch_[pid]);
 }
 
 void AsyncEngine::activate(ProcessId pid) {
@@ -211,7 +199,7 @@ void AsyncEngine::on_tick(ProcessId pid, std::uint64_t epoch) {
 
 void AsyncEngine::on_driver_tick() {
   protocol_->execute_period(group_, rng_, metrics_);
-  queue_.schedule_in(driver_period_, [this] { on_driver_tick(); });
+  queue_.schedule_in(driver_period_, kDriverTick);
 }
 
 void AsyncEngine::run_action(ProcessId pid, std::size_t action_index) {
@@ -222,7 +210,7 @@ void AsyncEngine::run_action(ProcessId pid, std::size_t action_index) {
           if (rng_.bernoulli(a.coin_bias)) group_.transition(pid, a.to_state);
         } else if constexpr (std::is_same_v<T, core::PushAction>) {
           for (unsigned k = 0; k < a.fanout; ++k) {
-            send_push(pid, group_.random_target(pid, rng_), a);
+            send_push(pid, group_.random_target(pid, rng_), action_index);
           }
         } else if constexpr (std::is_same_v<T, core::AnyOfSamplingAction>) {
           probe_all(pid, action_index, a.fanout);
@@ -236,19 +224,37 @@ void AsyncEngine::run_action(ProcessId pid, std::size_t action_index) {
 
 void AsyncEngine::probe_all(ProcessId pid, std::size_t action_index,
                             std::size_t count) {
-  auto probe = std::make_shared<ProbeContext>(
-      ProbeContext{pid, action_index, {}, count});
-  probe->states.reserve(count);
-  if (count == 0) decide(*probe);  // nothing to wait for
+  ProbeSlot slot = 0;
+  if (free_probes_.empty()) {
+    slot = static_cast<ProbeSlot>(probes_.size());
+    probes_.emplace_back();
+  } else {
+    slot = free_probes_.back();
+    free_probes_.pop_back();
+  }
+  ProbeContext& probe = probes_[slot];
+  probe.pid = pid;
+  probe.action = action_index;
+  probe.states.clear();  // a reused slot keeps its capacity
+  probe.remaining = count;
+  if (count == 0) {  // nothing to wait for
+    decide(probe);
+    free_probes_.push_back(slot);
+    return;
+  }
   for (std::size_t k = 0; k < count; ++k) {
-    send_probe(pid, group_.random_target(pid, rng_), probe);
+    send_probe(pid, group_.random_target(pid, rng_), slot);
   }
 }
 
-void AsyncEngine::resolve_probe(const Probe& probe,
+void AsyncEngine::resolve_probe(ProbeSlot slot,
                                 std::optional<std::size_t> state) {
-  probe->states.push_back(state);
-  if (--probe->remaining == 0) decide(*probe);
+  ProbeContext& probe = probes_[slot];
+  probe.states.push_back(state);
+  if (--probe.remaining == 0) {
+    decide(probe);
+    free_probes_.push_back(slot);
+  }
 }
 
 void AsyncEngine::decide(const ProbeContext& probe) {
@@ -284,6 +290,10 @@ void AsyncEngine::decide(const ProbeContext& probe) {
         }
       },
       machine_->actions()[probe.action]);
+}
+
+const core::PushAction& AsyncEngine::push_action(std::size_t action) const {
+  return std::get<core::PushAction>(machine_->actions()[action]);
 }
 
 void AsyncEngine::deliver_push(ProcessId to, std::size_t target_state,
@@ -335,7 +345,46 @@ void AsyncEngine::walk_token(ProcessId from, Token token) {
 }
 
 // ---------------------------------------------------------------------
-// The run loop: advance the transport's clock one sample point at a time.
+// Event dispatch and the run loop: advance the transport's clock one
+// sample point at a time.
+
+void AsyncEngine::dispatch(const Event& event) {
+  switch (event.kind) {
+    case kTick:
+      on_tick(event.a, event.b);
+      return;
+    case kDriverTick:
+      on_driver_tick();
+      return;
+    case kMassiveFailure:
+      crash_random_alive(fault_plan::failure_victims(
+          std::bit_cast<double>(event.b), group_.total_alive()));
+      return;
+    case kCrash:
+      crash_process(event.a);
+      return;
+    case kRecover:
+      recover_process(event.a);
+      return;
+    case kCrashRecoveryTick:
+      on_crash_recovery_tick(event.b);
+      return;
+    case kChurn:
+      if (event.b >> 1 != churn_epoch_) return;  // a replaced trace
+      if ((event.b & 1U) != 0) {
+        recover_process(event.a);
+      } else {
+        crash_process(event.a, /*graceful=*/true);
+      }
+      return;
+    default:
+      on_transport_event(event);
+  }
+}
+
+void AsyncEngine::run_events_until(double t_end) {
+  queue_.run_until(t_end, [this](const Event& event) { dispatch(event); });
+}
 
 void AsyncEngine::run_until(double t_end) {
   start_run();

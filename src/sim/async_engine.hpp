@@ -11,10 +11,20 @@
 // and a subclass is the channel automaton behind the seam below: how a
 // probe, push, or token hop travels and whether it arrives, what a node's
 // departure and return mean to the channel, and how the clock advances.
+//
+// Events are typed records (sim::Event) on a calendar queue, dispatched
+// by one switch: the engine's own kinds are a process's timer tick (a =
+// pid, b = timer epoch), the driver-mode tick, a massive failure (b = the
+// fraction's bits), a targeted crash and a recovery (a = pid), the
+// background crash-recovery tick (b = its epoch), and a churn step (a =
+// pid, b = churn epoch << 1 | up). A transport numbers its own kinds from
+// kTransportKind up and receives them through on_transport_event(). Probe
+// sets live in a slot pool: a slot is reused once its last reply
+// resolves, and keeps its reply vector's capacity, so a warm run
+// allocates nothing per event.
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <vector>
 
@@ -78,7 +88,9 @@ class AsyncEngine : public Simulator {
     std::vector<std::optional<std::size_t>> states;
     std::size_t remaining = 0;
   };
-  using Probe = std::shared_ptr<ProbeContext>;
+  /// A probe set's slot in the engine's pool; the handle a transport
+  /// carries with each probe.
+  using ProbeSlot = std::uint32_t;
 
   /// A token in flight: a receiver in `token_state` moves to `to_state`;
   /// otherwise the token walks on while `hops_left` > 0.
@@ -87,6 +99,10 @@ class AsyncEngine : public Simulator {
     std::size_t to_state = 0;
     unsigned hops_left = 0;
   };
+
+  /// The first event kind a transport may use; the engine's kinds lie
+  /// below it.
+  static constexpr std::uint32_t kTransportKind = 16;
 
   /// Machine mode (`protocol` null) interprets `machine` with one timer
   /// per process; driver mode (`machine` empty) runs protocol's whole
@@ -97,12 +113,11 @@ class AsyncEngine : public Simulator {
               double clock_drift, TokenRouting tokens);
 
   // --- The channel seam -------------------------------------------------
-  /// Carry `probe` from `from` to `to`; resolve_probe() must follow exactly
-  /// once, with the target's state or nullopt for a loss.
-  virtual void send_probe(ProcessId from, ProcessId to,
-                          const Probe& probe) = 0;
-  virtual void send_push(ProcessId from, ProcessId to,
-                         const core::PushAction& push) = 0;
+  /// Carry probe set `probe` from `from` to `to`; resolve_probe() must
+  /// follow exactly once, with the target's state or nullopt for a loss.
+  virtual void send_probe(ProcessId from, ProcessId to, ProbeSlot probe) = 0;
+  /// Carry the push of machine action `action` (see push_action()).
+  virtual void send_push(ProcessId from, ProcessId to, std::size_t action) = 0;
   /// False when the hop is lost at send time (counted as a dropped token).
   virtual bool send_token(ProcessId from, ProcessId to,
                           const Token& token) = 0;
@@ -112,13 +127,15 @@ class AsyncEngine : public Simulator {
   /// `pid` has just rejoined. True starts its timer one period from now;
   /// false means the transport calls activate(pid) once it is reachable.
   virtual bool node_up(ProcessId pid) = 0;
+  /// An event of one of the transport's own kinds (>= kTransportKind).
+  virtual void on_transport_event(const Event& event) = 0;
   /// Run every event due up to `t_end` and leave the clock there. Each
   /// run_until calls start_run() once, then advance_to in time order.
   virtual void start_run() {}
-  virtual void advance_to(double t_end) { queue_.run_until(t_end); }
+  virtual void advance_to(double t_end) { run_events_until(t_end); }
 
   // --- Arrivals, called by the transport --------------------------------
-  void resolve_probe(const Probe& probe, std::optional<std::size_t> state);
+  void resolve_probe(ProbeSlot probe, std::optional<std::size_t> state);
   void deliver_push(ProcessId to, std::size_t target_state,
                     std::size_t to_state, double coin_bias);
   void deliver_token(ProcessId at, const Token& token);
@@ -128,10 +145,26 @@ class AsyncEngine : public Simulator {
   /// on_crash() hook runs before the process leaves the group).
   void crash_process(ProcessId pid, bool graceful = false);
 
+  /// The machine's push action at `action` (a send_push argument).
+  [[nodiscard]] const core::PushAction& push_action(std::size_t action) const;
   /// Sim-time events: timers, faults, and whatever the transport queues.
   [[nodiscard]] EventQueue& queue() noexcept { return queue_; }
+  /// Dispatch every queued event due up to `t_end`; the clock ends there.
+  void run_events_until(double t_end);
 
  private:
+  enum Kind : std::uint32_t {
+    kTick,
+    kDriverTick,
+    kMassiveFailure,
+    kCrash,
+    kRecover,
+    kCrashRecoveryTick,
+    kChurn,
+  };
+  static_assert(kChurn < kTransportKind);
+
+  void dispatch(const Event& event);
   /// A massive or background crash: the protocol's on_crash() hook runs
   /// after the victims have left the group.
   std::vector<ProcessId> crash_random_alive(std::size_t k);
@@ -157,6 +190,8 @@ class AsyncEngine : public Simulator {
   Group group_;
   MetricsCollector metrics_;
   TokenStats tokens_;
+  std::vector<ProbeContext> probes_;  // the probe-set pool
+  std::vector<ProbeSlot> free_probes_;
   std::vector<double> period_of_;  // per-process period length
   // Guards against stale timers: bumped on every crash, so a tick armed
   // before the crash is ignored even if the process recovered meanwhile.

@@ -8,6 +8,12 @@
 // last response (or loss surrogate) arrives. This validates that the
 // protocols need no global clock, synchronization, or agreement.
 //
+// Every message is one typed event on the engine's queue: a probe's
+// arrival at its target (a = probe slot, b = target), its reply (b = the
+// target's state), the loss surrogate of either leg (due when the message
+// would have arrived), a push (a = target, b = action index), and a token
+// hop (a = target, b = the packed Token).
+//
 // A second constructor accepts any hand-written PeriodicProtocol and drives
 // it from a (drifting, arbitrary-phase) period timer, so the paper's case
 // studies (protocols/epidemic|lv_majority|endemic_replication) and any
@@ -53,14 +59,22 @@ class EventSimulator final : public AsyncEngine {
   [[nodiscard]] const Network& network() const noexcept { return network_; }
 
  private:
-  void send_probe(ProcessId from, ProcessId to, const Probe& probe) override;
-  void send_push(ProcessId from, ProcessId to,
-                 const core::PushAction& push) override;
+  enum Kind : std::uint32_t {
+    kProbeArrival = kTransportKind,
+    kReply,
+    kProbeLost,
+    kPush,
+    kTokenHop,
+  };
+
+  void send_probe(ProcessId from, ProcessId to, ProbeSlot probe) override;
+  void send_push(ProcessId from, ProcessId to, std::size_t action) override;
   bool send_token(ProcessId from, ProcessId to, const Token& token) override;
   /// Modelled processes hold no channel state: a crashed target is simply
   /// one that no longer answers.
   void node_down(ProcessId /*pid*/, bool /*graceful*/) override {}
   bool node_up(ProcessId /*pid*/) override { return true; }
+  void on_transport_event(const Event& event) override;
 
   Network network_;
 };

@@ -6,6 +6,12 @@
 
 namespace deproto::sim::fault_plan {
 
+void validate_fault_time(double time) {
+  if (!std::isfinite(time)) {
+    throw std::invalid_argument("fault plan: fault time must be finite");
+  }
+}
+
 void validate_failure_fraction(double fraction) {
   if (!(fraction >= 0.0 && fraction <= 1.0)) {
     throw std::invalid_argument("schedule_massive_failure: bad fraction");
@@ -38,6 +44,7 @@ std::vector<ChurnEvent> trace_in_periods(const ChurnTrace& trace,
   std::vector<ChurnEvent> events;
   events.reserve(trace.events().size());
   for (ChurnEvent e : trace.events()) {
+    validate_fault_time(e.time_hours * periods_per_hour);
     e.time_hours =
         std::max(e.time_hours * periods_per_hour, min_time);  // now periods
     events.push_back(e);
@@ -55,12 +62,15 @@ std::size_t first_period_at_or_after(double time) {
 }
 
 void RoundSchedule::add_massive_failure(double time, double fraction) {
+  validate_fault_time(time);
   validate_failure_fraction(fraction);
   failures_.push_back(PendingFailure{MassiveFailure{time, fraction}, false});
 }
 
 void RoundSchedule::add_crash(ProcessId pid, double time,
                               double recover_time) {
+  validate_fault_time(time);
+  validate_fault_time(recover_time);
   // A targeted crash is a one-host departure (plus optional rejoin),
   // already expressed in periods.
   crashes_.push_back(ChurnEvent{time, pid, false});

@@ -15,6 +15,11 @@
 
 namespace deproto::sim::fault_plan {
 
+/// Throws std::invalid_argument when a fault time (a massive failure's,
+/// a targeted crash's or recovery's) is NaN or infinite: no backend can
+/// order it against the clock.
+void validate_fault_time(double time);
+
 /// Throws std::invalid_argument unless fraction lies in [0, 1].
 void validate_failure_fraction(double fraction);
 
@@ -34,7 +39,8 @@ void validate_periods_per_hour(double periods_per_hour);
 /// clamping each event to happen no earlier than `min_time` (the event
 /// backend passes its current queue time so stale events fire "now"; the
 /// sync backend passes 0). Order is preserved; callers needing sorted
-/// playback sort afterwards.
+/// playback sort afterwards. Throws std::invalid_argument when an event's
+/// time in periods is not finite.
 [[nodiscard]] std::vector<ChurnEvent> trace_in_periods(
     const ChurnTrace& trace, double periods_per_hour, double min_time = 0.0);
 
@@ -55,10 +61,11 @@ void validate_periods_per_hour(double periods_per_hour);
 /// due event lands (a per-pid crash, or an anonymous removal).
 class RoundSchedule {
  public:
-  /// Throws std::invalid_argument unless fraction lies in [0, 1].
+  /// Throws std::invalid_argument unless fraction lies in [0, 1] and the
+  /// time is finite.
   void add_massive_failure(double time, double fraction);
   /// A crash of `pid` at `time`, and its recovery at `recover_time` if
-  /// that is >= 0.
+  /// that is >= 0. Throws std::invalid_argument for a non-finite time.
   void add_crash(ProcessId pid, double time, double recover_time);
   /// Replaces any earlier trace.
   void attach_churn(const ChurnTrace& trace, double periods_per_hour);

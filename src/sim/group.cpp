@@ -1,12 +1,16 @@
 #include "sim/group.hpp"
 
+#include <string>
+
 namespace deproto::sim {
 
 Group::Group(std::size_t n, std::size_t num_states,
              std::size_t initial_state) {
   if (n == 0) throw std::invalid_argument("Group: empty group");
-  if (num_states == 0 || num_states > 255) {
-    throw std::invalid_argument("Group: need 1..255 states");
+  if (num_states == 0 || num_states > kMaxStates) {
+    throw std::invalid_argument(
+        "Group: need 1.." + std::to_string(kMaxStates) +
+        " states (one byte per process), got " + std::to_string(num_states));
   }
   if (initial_state >= num_states) {
     throw std::invalid_argument("Group: bad initial state");

@@ -21,7 +21,13 @@ using ProcessId = std::uint32_t;
 
 class Group {
  public:
-  /// N processes, all alive, all in `initial_state`.
+  /// The widest machine a Group holds: one byte of state per process (and
+  /// in every net datagram's state field). Every per-node backend inherits
+  /// this cap; analysis::lint_spec reports it before launch.
+  static constexpr std::size_t kMaxStates = 255;
+
+  /// N processes, all alive, all in `initial_state`. Throws
+  /// std::invalid_argument unless num_states lies in [1, kMaxStates].
   Group(std::size_t n, std::size_t num_states, std::size_t initial_state = 0);
 
   [[nodiscard]] std::size_t size() const noexcept { return state_.size(); }

@@ -4,8 +4,8 @@
 
 namespace deproto::sim {
 
-Network::Network(EventQueue& queue, Rng& rng, NetworkOptions options)
-    : queue_(queue), rng_(rng), options_(options) {
+Network::Network(Rng& rng, NetworkOptions options)
+    : rng_(rng), options_(options) {
   if (!(options_.loss >= 0.0 && options_.loss < 1.0)) {
     throw std::invalid_argument("Network: loss must lie in [0, 1)");
   }
@@ -15,18 +15,15 @@ Network::Network(EventQueue& queue, Rng& rng, NetworkOptions options)
   }
 }
 
-bool Network::send(std::function<void()> on_deliver,
-                   std::function<void()> on_lost) {
+MessageFate Network::send() {
   ++sent_;
-  const double latency =
-      rng_.uniform(options_.latency_min, options_.latency_max);
+  MessageFate fate;
+  fate.latency = rng_.uniform(options_.latency_min, options_.latency_max);
   if (options_.loss > 0.0 && rng_.bernoulli(options_.loss)) {
     ++dropped_;
-    if (on_lost) queue_.schedule_in(latency, std::move(on_lost));
-    return false;
+    fate.lost = true;
   }
-  queue_.schedule_in(latency, std::move(on_deliver));
-  return true;
+  return fate;
 }
 
 }  // namespace deproto::sim

@@ -2,12 +2,12 @@
 
 // Unreliable asynchronous network (system model, Section 1): messages
 // experience random latency and may be dropped. Latency is expressed in
-// protocol-period units.
+// protocol-period units. This class only draws each message's fate and
+// counts it; the event transport (sim::EventSimulator) schedules the
+// arrival, or the loss surrogate, as a typed event.
 
 #include <cstdint>
-#include <functional>
 
-#include "sim/event_queue.hpp"
 #include "sim/rng.hpp"
 
 namespace deproto::sim {
@@ -18,22 +18,25 @@ struct NetworkOptions {
   double latency_max = 0.10;
 };
 
+/// One message's fate: it arrives, or is found lost, `latency` periods
+/// after the send (a receiver cannot tell a loss from latency sooner).
+struct MessageFate {
+  double latency = 0.0;
+  bool lost = false;
+};
+
 class Network {
  public:
-  Network(EventQueue& queue, Rng& rng, NetworkOptions options = {});
+  Network(Rng& rng, NetworkOptions options = {});
 
-  /// Send a message: `on_deliver` runs after a random latency unless the
-  /// message is dropped, in which case `on_lost` (if provided) runs at the
-  /// same moment the delivery would have happened (a timeout surrogate).
-  /// Returns false when the message is dropped.
-  bool send(std::function<void()> on_deliver,
-            std::function<void()> on_lost = nullptr);
+  /// Send one message: draw its latency, then -- only when loss > 0 --
+  /// whether it is dropped. Counts it in sent(), and in dropped() if lost.
+  MessageFate send();
 
   [[nodiscard]] std::uint64_t sent() const noexcept { return sent_; }
   [[nodiscard]] std::uint64_t dropped() const noexcept { return dropped_; }
 
  private:
-  EventQueue& queue_;
   Rng& rng_;
   NetworkOptions options_;
   std::uint64_t sent_ = 0;

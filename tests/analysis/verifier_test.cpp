@@ -232,25 +232,64 @@ TEST(VerifierTest, NetBackendPopulationCapIsAnError) {
       << "the default 0.5-period probe timeout is under one period";
 }
 
-TEST(VerifierTest, NetBackendStateCapIsAnError) {
-  // A 257-state ring of flips: one state more than a datagram's state byte
-  // can name.
+TEST(VerifierTest, PerNodeStateCapIsAnErrorOnEveryPerNodeBackend) {
+  // A 256-state ring of flips, s_i' = -s_i + s_(i-1): one state more than
+  // sim::Group holds. Every per-node backend would refuse it at launch, so
+  // the lint must refuse it first; the count backend has no such cap.
   std::string ring;
-  for (int i = 0; i < 257; ++i) {
+  for (int i = 0; i < 256; ++i) {
     ring += "s" + std::to_string(i) + "' = -s" + std::to_string(i) + " + s" +
-            std::to_string((i + 256) % 257) + "\n";
+            std::to_string((i + 255) % 256) + "\n";
   }
   ScenarioSpec spec;
   spec.name = "test-wide-ring";
   spec.source.ode_text = ring;
-  spec.backend = deproto::api::Backend::Net;
   spec.n = 64;
   spec.periods = 10;
-  EXPECT_TRUE(has_rule(deproto::analysis::analyze_spec(spec).findings,
-                       "spec.net-states", Severity::Error));
+  // The cap needs only the synthesized state count; skip the multi-start
+  // equilibrium search, which dominates on 256 dimensions.
+  deproto::analysis::VerifyOptions options;
+  options.machine.fixed_points = false;
+  const auto analyze = [&] {
+    return deproto::analysis::analyze_spec(spec, options);
+  };
+  for (const auto backend :
+       {deproto::api::Backend::Sync, deproto::api::Backend::Event,
+        deproto::api::Backend::Net, deproto::api::Backend::Auto}) {
+    spec.backend = backend;
+    const Report report = analyze();
+    EXPECT_FALSE(report.ok()) << deproto::api::backend_name(backend);
+    EXPECT_TRUE(
+        has_rule(report.findings, "spec.node-states", Severity::Error))
+        << deproto::api::backend_name(backend);
+  }
+  spec.backend = deproto::api::Backend::Count;
+  EXPECT_FALSE(
+      has_rule(analyze().findings, "spec.node-states", Severity::Error));
+  // Auto at a population that resolves to the count backend: no cap.
+  spec.backend = deproto::api::Backend::Auto;
+  spec.n = deproto::api::kAutoBackendCrossoverN;
+  EXPECT_FALSE(
+      has_rule(analyze().findings, "spec.node-states", Severity::Error));
+}
+
+TEST(VerifierTest, NodeStateCapAdmitsTheWidestGroup) {
+  // 255 states fit one byte per process: no error on a per-node backend.
+  std::string ring;
+  for (int i = 0; i < 255; ++i) {
+    ring += "s" + std::to_string(i) + "' = -s" + std::to_string(i) + " + s" +
+            std::to_string((i + 254) % 255) + "\n";
+  }
+  ScenarioSpec spec;
+  spec.name = "test-widest-ring";
+  spec.source.ode_text = ring;
   spec.backend = deproto::api::Backend::Event;
-  EXPECT_FALSE(has_rule(deproto::analysis::analyze_spec(spec).findings,
-                        "spec.net-states", Severity::Error));
+  spec.n = 64;
+  spec.periods = 10;
+  deproto::analysis::VerifyOptions options;
+  options.machine.fixed_points = false;  // as above
+  EXPECT_FALSE(has_rule(deproto::analysis::analyze_spec(spec, options).findings,
+                        "spec.node-states", Severity::Error));
 }
 
 TEST(VerifierTest, TokenTtlBeyondRunLengthIsAWarning) {

@@ -10,6 +10,7 @@
 
 #include "core/synthesis.hpp"
 #include "ode/catalog.hpp"
+#include "sim/group.hpp"
 
 namespace deproto::net {
 namespace {
@@ -48,22 +49,21 @@ TEST(NetSimTest, RejectsBadPopulationsAndOptions) {
 }
 
 TEST(NetSimTest, RejectsMachinesWiderThanTheStateByte) {
-  // Probe, ProbeReply, and Push datagrams carry a state in one byte: a
-  // 257th state would alias state 0 and silently break probe matching.
-  // sim::Group holds at most 255 states, the widest machine that runs.
+  // Probe, ProbeReply, and Push datagrams carry a state in one byte, as
+  // sim::Group stores one per process: Group::kMaxStates (255) is the
+  // widest machine that runs, and a wider one is refused before it could
+  // alias a state in a datagram.
   std::vector<std::string> names;
-  for (std::size_t s = 0; s < 255; ++s) {
+  for (std::size_t s = 0; s < sim::Group::kMaxStates; ++s) {
     names.push_back("s" + std::to_string(s));
   }
   EXPECT_NO_THROW(NetSimulator(2, core::ProtocolStateMachine(names), 1));
-  while (names.size() <= NetSimulator::kMaxStates) {
-    names.push_back("s" + std::to_string(names.size()));
-  }
+  names.push_back("s" + std::to_string(names.size()));
   try {
     NetSimulator(2, core::ProtocolStateMachine(names), 1);
-    ADD_FAILURE() << "a 257-state machine was accepted";
+    ADD_FAILURE() << "a 256-state machine was accepted";
   } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("one-byte"), std::string::npos)
+    EXPECT_NE(std::string(e.what()).find("one byte"), std::string::npos)
         << e.what();
   }
 }

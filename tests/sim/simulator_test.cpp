@@ -8,10 +8,15 @@
 
 #include <gtest/gtest.h>
 
+#include <initializer_list>
+#include <limits>
+#include <stdexcept>
+
 #include "core/synthesis.hpp"
 #include "ode/catalog.hpp"
 #include "protocols/epidemic.hpp"
 #include "protocols/lv_majority.hpp"
+#include "sim/count_sim.hpp"
 #include "sim/event_sim.hpp"
 #include "sim/sync_sim.hpp"
 
@@ -249,6 +254,37 @@ TEST(SimulatorInterfaceTest, EventValidatesFaultArguments) {
                std::invalid_argument);
   ChurnTrace trace;
   EXPECT_THROW(simulator.attach_churn(trace, 0.0), std::invalid_argument);
+}
+
+TEST(SimulatorInterfaceTest, EveryBackendRejectsNonFiniteFaultTimes) {
+  // A NaN time slips past every ordered comparison (`t < now` is false),
+  // and the round-based fault schedule would sort NaN keys. All three
+  // backends share fault_plan::validate_fault_time instead; a rejected
+  // call schedules nothing, so the run afterwards is untouched.
+  const auto result = core::synthesize(ode::catalog::epidemic());
+  FlipProtocol protocol(0.0);
+  SyncSimulator sync(50, protocol, 13);
+  EventSimulator event(50, result.machine, 14);
+  CountSimulator count(50, result.machine, 15);
+  const double kNaN = std::numeric_limits<double>::quiet_NaN();
+  const double kInf = std::numeric_limits<double>::infinity();
+  for (Simulator* simulator :
+       std::initializer_list<Simulator*>{&sync, &event, &count}) {
+    for (const double bad : {kNaN, kInf, -kInf}) {
+      EXPECT_THROW(simulator->schedule_massive_failure(bad, 0.5),
+                   std::invalid_argument);
+      EXPECT_THROW(simulator->schedule_crash(0, bad), std::invalid_argument);
+      EXPECT_THROW(simulator->schedule_crash(0, 1.0, /*recover_time=*/bad),
+                   std::invalid_argument);
+      EXPECT_THROW(simulator->attach_churn(
+                       ChurnTrace::from_events({{bad, 0, false}}), 1.0),
+                   std::invalid_argument);
+    }
+    // Finite but far: accepted, and never due within the run.
+    simulator->schedule_massive_failure(1e300, 1.0);
+    simulator->run_for(3.0);
+    EXPECT_EQ(simulator->total_alive(), 50U);
+  }
 }
 
 TEST(SimulatorInterfaceTest, HandWrittenEpidemicRunsOnEventBackend) {
